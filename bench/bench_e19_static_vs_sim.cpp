@@ -4,29 +4,28 @@
 // must dominate anything the co-simulation actually observes. This
 // experiment runs analyzer and simulation over the same scenarios across a
 // seed ladder and compares every static bound against the corresponding
-// observed maximum from the observability histograms: per-bus end-to-end
-// frame latency, cockpit pub/sub delivery latency, and gateway hop latency.
+// observed maximum from the observability histograms (the shared
+// ev::analysis::bound_checks oracle): per-bus end-to-end frame latency,
+// cockpit pub/sub delivery latency, and gateway hop latency.
 // Any observation above its bound is a soundness violation and fails the
 // binary. The margin column shows how conservative each bound is.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "ev/analysis/analyzer.h"
+#include "ev/analysis/oracle.h"
 #include "ev/config/scenario.h"
 #include "ev/core/scenario.h"
-#include "ev/core/subsystems.h"
-#include "ev/obs/metrics.h"
-#include "ev/util/stats.h"
 #include "ev/util/table.h"
 #include "harness.h"
 
 namespace {
 
-using ev::analysis::Diagnostic;
 using ev::analysis::Report;
 using ev::config::ScenarioSpec;
 
@@ -41,59 +40,14 @@ ScenarioSpec scenario(std::uint64_t seed) {
   return spec;
 }
 
-/// One static-bound-vs-observed-max comparison.
-struct Check {
-  std::string what;
-  double bound_us = 0.0;
-  double observed_us = 0.0;
-  std::size_t samples = 0;
-};
-
-/// Observed maximum of histogram \p name, or no entry when it never fired.
-void observe_max(ev::obs::MetricsRegistry& metrics, const std::string& name,
-                 const std::string& what, double bound_us,
-                 std::vector<Check>& out) {
-  const ev::obs::MetricId id = metrics.find(name);
-  if (id == ev::obs::kInvalidId) return;
-  const ev::util::RunningStats& stats = metrics.histogram_stats(id);
-  if (stats.count() == 0) return;
-  out.push_back(Check{what, bound_us, stats.max(), stats.count()});
-}
-
 /// Analyzer + simulation over one seed; returns every comparable pair.
-std::vector<Check> cross_validate(std::uint64_t seed) {
+std::vector<ev::analysis::BoundCheck> cross_validate(std::uint64_t seed) {
   const ScenarioSpec spec = scenario(seed);
   const ev::analysis::VehicleModel model = ev::analysis::extract_model(spec);
   const Report report = ev::analysis::analyze(model);
-
   std::unique_ptr<ev::core::VehicleSystem> vehicle;
   (void)ev::core::run_scenario(spec, &vehicle);
-  auto* obs = vehicle->find_subsystem<ev::core::ObservabilitySubsystem>();
-  ev::obs::MetricsRegistry& metrics = obs->metrics();
-
-  std::vector<Check> checks;
-  // Per-bus worst end-to-end frame response vs the observed latency
-  // histogram (routed frames keep their origin timestamp, so the
-  // destination-bus histogram carries the full multi-hop latency — exactly
-  // what the analyzer's rta.bus bound covers).
-  for (const ev::analysis::BusModel& bus : model.buses) {
-    const Diagnostic* d = report.find("rta.bus", bus.scenario_name);
-    if (d == nullptr) continue;
-    observe_max(metrics, "net." + bus.display_name + ".frame_latency_us",
-                bus.scenario_name, d->bound, checks);
-  }
-  // Cockpit pub/sub delivery vs the worst per-topic delivery bound.
-  double pubsub_bound = 0.0;
-  for (const Diagnostic& d : report.diagnostics)
-    if (d.rule_id == "rta.pubsub") pubsub_bound = std::max(pubsub_bound, d.bound);
-  if (pubsub_bound > 0.0)
-    observe_max(metrics, "mw." + model.app.ecu_name + ".pubsub.delivery_latency_us",
-                model.app.ecu_name + " pub/sub", pubsub_bound, checks);
-  // Gateway store-and-forward hop delay.
-  if (const Diagnostic* d = report.find("gw.delay", "central-gateway"))
-    observe_max(metrics, "net.gw.central-gateway.hop_latency_us", "gateway hop",
-                d->bound, checks);
-  return checks;
+  return ev::analysis::bound_checks(model, report, *vehicle, spec.faults);
 }
 
 int run_experiment() {
@@ -108,13 +62,13 @@ int run_experiment() {
   double min_margin_us = 1e18;
   const int runs = 3;
   evbench::run_seeded_campaign(7, 1, runs, [&](std::uint64_t seed, int) {
-    for (const Check& c : cross_validate(seed)) {
+    for (const ev::analysis::BoundCheck& c : cross_validate(seed)) {
       const double margin = c.bound_us - c.observed_us;
-      const bool sound = margin >= 0.0;
+      const bool sound = c.sound();
       if (!sound) ++violations;
       ++compared;
       min_margin_us = std::min(min_margin_us, margin);
-      table.add_row({std::to_string(seed), c.what,
+      table.add_row({std::to_string(seed), c.subject,
                      ev::util::fmt(c.bound_us, 1) + " us",
                      ev::util::fmt(c.observed_us, 1) + " us",
                      ev::util::fmt(margin, 1) + " us",

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "ev/campaign/campaign.h"
-#include "ev/campaign/parallel.h"
+#include "ev/campaign/worker_pool.h"
 #include "ev/config/scenario.h"
 #include "ev/util/table.h"
 #include "harness.h"
@@ -96,13 +96,15 @@ void bm_campaign(benchmark::State& state) {
 BENCHMARK(bm_campaign)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
 
-void bm_parallel_for_overhead(benchmark::State& state) {
-  // Pool spin-up + drain for an empty task fan: the fixed cost a campaign
-  // pays before any simulation work happens.
-  for (auto _ : state)
-    ev::campaign::parallel_for(64, 4, [](int i) { benchmark::DoNotOptimize(i); });
+void bm_worker_pool_overhead(benchmark::State& state) {
+  // Pool spin-up + drain + join for an empty task fan: the fixed cost a
+  // campaign pays before any simulation work happens.
+  for (auto _ : state) {
+    ev::campaign::WorkerPool pool(4);
+    pool.run(64, [](int i) { benchmark::DoNotOptimize(i); });
+  }
 }
-BENCHMARK(bm_parallel_for_overhead)->Unit(benchmark::kMicrosecond);
+BENCHMARK(bm_worker_pool_overhead)->Unit(benchmark::kMicrosecond);
 
 void bm_registry_merge(benchmark::State& state) {
   // Cost of folding one shard registry into the aggregate (the serial

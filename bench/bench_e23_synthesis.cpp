@@ -17,24 +17,22 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "ev/analysis/analyzer.h"
 #include "ev/analysis/fitness.h"
 #include "ev/analysis/model.h"
+#include "ev/analysis/oracle.h"
 #include "ev/config/scenario.h"
 #include "ev/core/scenario.h"
-#include "ev/core/subsystems.h"
-#include "ev/obs/metrics.h"
 #include "ev/synthesis/synthesis.h"
-#include "ev/util/stats.h"
 #include "ev/util/table.h"
 #include "harness.h"
 
 namespace {
 
-using ev::analysis::Diagnostic;
 using ev::analysis::FitnessEvaluator;
 using ev::analysis::Report;
 using ev::config::ScenarioSpec;
@@ -209,33 +207,12 @@ LadderRow validate_synthesized(std::uint64_t seed) {
   // maximum against its static bound (the E19 soundness invariant).
   std::unique_ptr<ev::core::VehicleSystem> vehicle;
   (void)ev::core::run_scenario(synthesized.spec, &vehicle);
-  auto* obs = vehicle->find_subsystem<ev::core::ObservabilitySubsystem>();
-  ev::obs::MetricsRegistry& metrics = obs->metrics();
-
-  const auto compare = [&](const std::string& histogram, double bound_us) {
-    const ev::obs::MetricId id = metrics.find(histogram);
-    if (id == ev::obs::kInvalidId) return;
-    const ev::util::RunningStats& stats = metrics.histogram_stats(id);
-    if (stats.count() == 0) return;
+  for (const ev::analysis::BoundCheck& check :
+       ev::analysis::bound_checks(model, report, *vehicle, synthesized.spec.faults)) {
     ++row.comparisons;
-    const double margin = bound_us - stats.max();
-    row.min_margin_us = std::min(row.min_margin_us, margin);
-    if (margin < 0.0) ++row.bound_violations;
-  };
-
-  for (const ev::analysis::BusModel& bus : model.buses) {
-    const Diagnostic* d = report.find("rta.bus", bus.scenario_name);
-    if (d == nullptr) continue;
-    compare("net." + bus.display_name + ".frame_latency_us", d->bound);
+    row.min_margin_us = std::min(row.min_margin_us, check.bound_us - check.observed_us);
+    if (!check.sound()) ++row.bound_violations;
   }
-  double pubsub_bound = 0.0;
-  for (const Diagnostic& d : report.diagnostics)
-    if (d.rule_id == "rta.pubsub") pubsub_bound = std::max(pubsub_bound, d.bound);
-  if (pubsub_bound > 0.0)
-    compare("mw." + model.app.ecu_name + ".pubsub.delivery_latency_us",
-            pubsub_bound);
-  if (const Diagnostic* d = report.find("gw.delay", "central-gateway"))
-    compare("net.gw.central-gateway.hop_latency_us", d->bound);
   return row;
 }
 

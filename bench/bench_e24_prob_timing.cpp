@@ -7,15 +7,15 @@
 // per-frame miss *frequency* from seeded fault-injection campaigns may
 // never exceed the analytic miss *probability* (within the Hoeffding
 // confidence tolerance of the sample size). Each armed CAN bus runs as a
-// standalone testbed — every frame the analyzer models is sent on its
-// period, the seeded CanErrorModel destroys transmissions, and every
-// delivery later than one period counts as a miss. Any frequency above
-// bound + tolerance is a soundness violation and fails the binary.
+// standalone testbed (the shared ev::analysis::run_prob_testbed oracle) —
+// every frame the analyzer models is sent on its period, the seeded
+// CanErrorModel destroys transmissions, and every delivery later than one
+// period counts as a miss. Any frequency above bound + tolerance is a
+// soundness violation and fails the binary.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -24,16 +24,17 @@
 #include <vector>
 
 #include "ev/analysis/analyzer.h"
+#include "ev/analysis/oracle.h"
 #include "ev/analysis/prob.h"
 #include "ev/config/scenario.h"
 #include "ev/network/can.h"
-#include "ev/sim/simulator.h"
 #include "ev/util/table.h"
 #include "harness.h"
 
 namespace {
 
 using ev::analysis::FrameMissBound;
+using ev::analysis::FrameTally;
 using ev::analysis::ProbOutcome;
 using ev::analysis::VehicleModel;
 using ev::config::ScenarioSpec;
@@ -68,69 +69,6 @@ ScenarioSpec scenario() {
   return spec;
 }
 
-/// Per-frame tally of one testbed run.
-struct FrameTally {
-  std::size_t sent = 0;
-  std::size_t delivered = 0;
-  std::size_t missed = 0;  // delivered later than one period after queuing
-};
-
-/// One fault-injection run of bus \p bus_idx of \p model under \p seed:
-/// every analyzer-modelled frame is sent on its period from t = 0, the
-/// seeded error model destroys transmissions, and deliveries later than one
-/// period count as misses. Pure function of its arguments (private
-/// simulator, no shared state) — safe as a parallel campaign worker.
-std::vector<FrameTally> run_testbed(const VehicleModel& model, std::size_t bus_idx,
-                                    const ev::analysis::BusErrorModel& error_model,
-                                    std::uint64_t seed) {
-  const ev::analysis::BusModel& bus_model = model.buses[bus_idx];
-  ev::sim::Simulator sim;
-  ev::network::CanBus bus(sim, bus_model.scenario_name, bus_model.bit_rate_bps);
-
-  ev::network::CanErrorModel armed;
-  armed.poisson_rate_per_s = error_model.poisson_rate_per_s;
-  armed.per_attempt_prob = error_model.per_attempt_prob;
-  armed.seed = seed ^ (0x9e3779b97f4a7c15ULL * (bus_idx + 1));
-  bus.arm_error_model(armed);
-
-  // The frames the analyzer models on this bus, in model order (CAN ids are
-  // unique per bus, so deliveries map back by id).
-  std::vector<std::size_t> frames;
-  std::map<std::uint32_t, std::size_t> slot_of_id;
-  for (std::size_t f = 0; f < model.frames.size(); ++f)
-    if (model.frames[f].bus == bus_idx && model.frames[f].payload_bytes <= 8) {
-      slot_of_id[model.frames[f].id] = frames.size();
-      frames.push_back(f);
-    }
-
-  std::vector<FrameTally> tallies(frames.size());
-  bus.subscribe([&](const ev::network::Frame& frame, ev::sim::Time delivered) {
-    const auto it = slot_of_id.find(frame.id);
-    if (it == slot_of_id.end()) return;
-    FrameTally& tally = tallies[it->second];
-    ++tally.delivered;
-    const double latency_s = (delivered - frame.created).to_seconds();
-    if (latency_s > model.frames[frames[it->second]].period_s + 1e-12) ++tally.missed;
-  });
-
-  const ev::sim::Time send_until = ev::sim::Time::seconds(kSendSeconds);
-  for (std::size_t s = 0; s < frames.size(); ++s) {
-    const ev::analysis::FrameModel& frame = model.frames[frames[s]];
-    const ev::sim::Time period = ev::sim::Time::seconds(frame.period_s);
-    // All frames released together at t = 0: the synchronous critical
-    // instant, the worst phasing the analysis covers.
-    sim.schedule_periodic(ev::sim::Time{}, period, [&, s] {
-      if (sim.now() > send_until) return;
-      ev::network::Frame tx;
-      tx.id = model.frames[frames[s]].id;
-      tx.payload_size = model.frames[frames[s]].payload_bytes;
-      if (bus.send(tx)) ++tallies[s].sent;
-    });
-  }
-  sim.run_until(send_until + ev::sim::Time::seconds(kDrainSeconds));
-  return tallies;
-}
-
 /// Aggregated campaign evidence for one frame of one armed bus.
 struct CrossCheck {
   std::size_t bus = 0;
@@ -146,15 +84,6 @@ double wall_seconds(const std::function<void()>& body) {
   body();
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(stop - start).count();
-}
-
-/// Two-sided confidence slack on an observed frequency of \p n samples:
-/// Hoeffding with failure mass 1e-9 per comparison. An observation beyond
-/// analytic + tolerance is (overwhelmingly) a real soundness violation, not
-/// sampling noise.
-double hoeffding_tolerance(std::size_t n) {
-  if (n == 0) return 1.0;
-  return std::sqrt(std::log(1e9) / (2.0 * static_cast<double>(n)));
 }
 
 /// Writes the deterministic cross-validation record (analytic bounds and
@@ -207,16 +136,11 @@ int run_experiment() {
     }));
 
   // Analytic side: the per-frame miss bounds of every armed CAN bus.
-  std::vector<std::size_t> armed_buses;
+  const std::vector<std::size_t> armed_buses = ev::analysis::armed_can_buses(analyzer);
   std::vector<CrossCheck> checks;
   std::map<std::size_t, std::size_t> check_of_frame;
-  for (std::size_t b = 0; b < model.buses.size(); ++b) {
-    const ProbOutcome& outcome = analyzer.bus_outcome(b);
-    if (!outcome.model.armed() ||
-        model.buses[b].protocol != ev::analysis::Protocol::kCan)
-      continue;
-    armed_buses.push_back(b);
-    for (const FrameMissBound& fmb : outcome.frames) {
+  for (const std::size_t b : armed_buses) {
+    for (const FrameMissBound& fmb : analyzer.bus_outcome(b).frames) {
       check_of_frame[fmb.frame] = checks.size();
       checks.push_back(CrossCheck{b, fmb.frame, fmb.miss_probability, 0, 0, 0});
     }
@@ -233,8 +157,9 @@ int run_experiment() {
           std::vector<std::vector<FrameTally>> per_bus;
           per_bus.reserve(armed_buses.size());
           for (const std::size_t b : armed_buses)
-            per_bus.push_back(
-                run_testbed(model, b, analyzer.error_models()[b], seed));
+            per_bus.push_back(ev::analysis::run_prob_testbed(
+                model, b, analyzer.error_models()[b], seed, kSendSeconds,
+                kDrainSeconds));
           return per_bus;
         },
         [&](std::vector<std::vector<FrameTally>> per_bus, std::uint64_t, int) {
@@ -262,7 +187,7 @@ int run_experiment() {
     const double observed =
         c.sent == 0 ? 0.0
                     : static_cast<double>(c.missed) / static_cast<double>(c.sent);
-    const double tolerance = hoeffding_tolerance(c.sent);
+    const double tolerance = ev::analysis::hoeffding_tolerance(c.sent);
     const double excess = observed - (c.analytic + tolerance);
     const bool sound = excess <= 0.0;
     if (!sound) ++violations;

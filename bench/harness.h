@@ -19,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "ev/campaign/parallel.h"
+#include "ev/campaign/worker_pool.h"
 #include "ev/obs/export.h"
 #include "ev/obs/metrics.h"
 #include "ev/obs/sim_observer.h"
@@ -108,7 +108,8 @@ inline void run_seeded_campaign(std::uint64_t first, std::uint64_t stride, int r
                                 int jobs, Worker&& worker, Fold&& fold) {
   using Result = std::invoke_result_t<Worker&, std::uint64_t, int>;
   std::vector<std::optional<Result>> results(static_cast<std::size_t>(runs));
-  ev::campaign::parallel_for(runs, jobs, [&](int i) {
+  ev::campaign::WorkerPool pool(ev::campaign::resolve_jobs(jobs, runs));
+  pool.run(runs, [&](int i) {
     results[static_cast<std::size_t>(i)].emplace(
         worker(first + static_cast<std::uint64_t>(i) * stride, i));
   });

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "ev/config/scenario.h"
+#include "ev/util/json.h"
 
 namespace ev::analysis {
 
@@ -50,30 +51,11 @@ const Diagnostic* Report::find(std::string_view rule_id,
   return nullptr;
 }
 
-namespace {
-
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void write_report_json(const Report& report, std::ostream& out) {
   Report sorted = report;
   sorted.sort();
   out << "{\n";
-  out << "  \"scenario\": \"" << escape(sorted.scenario) << "\",\n";
+  out << "  \"scenario\": \"" << util::json_escape(sorted.scenario) << "\",\n";
   out << "  \"summary\": {\"errors\": " << sorted.count(Severity::kError)
       << ", \"warnings\": " << sorted.count(Severity::kWarning)
       << ", \"info\": " << sorted.count(Severity::kInfo) << "},\n";
@@ -82,8 +64,9 @@ void write_report_json(const Report& report, std::ostream& out) {
     const Diagnostic& d = sorted.diagnostics[i];
     out << (i == 0 ? "\n" : ",\n");
     out << "    {\"severity\": \"" << to_string(d.severity) << "\", \"rule\": \""
-        << escape(d.rule_id) << "\", \"subject\": \"" << escape(d.subject)
-        << "\", \"message\": \"" << escape(d.message) << "\", \"bound\": "
+        << util::json_escape(d.rule_id) << "\", \"subject\": \""
+        << util::json_escape(d.subject) << "\", \"message\": \""
+        << util::json_escape(d.message) << "\", \"bound\": "
         << config::format_double(d.bound) << "}";
   }
   out << (sorted.diagnostics.empty() ? "]\n" : "\n  ]\n");

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "ev/analysis/prob.h"
@@ -433,11 +434,8 @@ std::vector<Diagnostic> compute_wiring(const VehicleModel& model) {
         break;
       }
       case config::FaultKind::kSensorStuck: {
-        char* end = nullptr;
-        const unsigned long long cell =
-            std::strtoull(event.target.c_str(), &end, 10);
-        if (end == event.target.c_str() || *end != '\0' ||
-            cell >= model.cell_count)
+        const std::optional<std::uint64_t> cell = config::parse_u64(event.target);
+        if (!cell || *cell >= model.cell_count)
           report.add(Severity::kError, "fault.unknown_target", subject,
                      "sensor fault targets cell '" + event.target +
                          "' outside the pack (" +

@@ -1,15 +1,17 @@
 /// \file worker_pool.h
-/// A persistent fixed-size worker pool for repeated task fans. parallel_for
-/// spawns and joins threads per call, which is fine for a campaign's one big
-/// fan but too heavy for a tick loop that fans out thousands of times; a
-/// WorkerPool keeps its threads parked on a condition variable between
-/// rounds. The handout/aggregation contract is identical to parallel_for:
-/// one atomic cursor, the calling thread participates, jobs=1 never spawns a
-/// thread, the first task exception is rethrown on the caller after the
-/// round drains — so per-index slot arrays plus a serial index-order fold
-/// stay the determinism pattern.
+/// The worker pool seed campaigns, the bench harness, synthesis candidates,
+/// fleet ticks and the fuzzer all run on. Threads stay parked on a condition
+/// variable between rounds, so a tick loop that fans out thousands of times
+/// pays no spawn cost; a one-shot fan sizes the pool with
+/// resolve_jobs(jobs, count). Tasks are handed out through one atomic
+/// cursor, the calling thread participates, jobs=1 never spawns a thread,
+/// and the first task exception is rethrown on the caller after the round
+/// drains — so callers collect per-index results into a pre-sized slot
+/// array and fold them on the calling thread in index order, which keeps
+/// the aggregate independent of the job count.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -20,9 +22,16 @@
 #include <thread>
 #include <vector>
 
-#include "ev/campaign/parallel.h"
-
 namespace ev::campaign {
+
+/// Resolves a user-facing --jobs value: <= 0 means one job per hardware
+/// thread, and the result is clamped to [1, count] so a small fan never
+/// spawns idle workers.
+[[nodiscard]] inline int resolve_jobs(int jobs, int count) noexcept {
+  if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
+  if (jobs <= 0) jobs = 1;
+  return std::clamp(jobs, 1, std::max(count, 1));
+}
 
 class WorkerPool {
  public:

@@ -7,11 +7,12 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "ev/campaign/parallel.h"
+#include "ev/campaign/worker_pool.h"
 #include "ev/core/scenario.h"
 #include "ev/core/subsystems.h"
 #include "ev/obs/export.h"
 #include "ev/util/crc.h"
+#include "ev/util/json.h"
 #include "ev/util/stats.h"
 
 namespace ev::campaign {
@@ -73,7 +74,8 @@ CampaignResult run_scenario_campaign(const config::ScenarioSpec& spec,
   // aggregate is a pure function of (spec, seeds) — never of the job count.
   std::vector<std::optional<Shard>> shards(
       static_cast<std::size_t>(options.seeds.count));
-  parallel_for(options.seeds.count, options.jobs, [&](int i) {
+  WorkerPool pool(resolve_jobs(options.jobs, options.seeds.count));
+  pool.run(options.seeds.count, [&](int i) {
     shards[static_cast<std::size_t>(i)].emplace(run_one(spec, options.seeds.seed(i)));
   });
 
@@ -89,7 +91,7 @@ CampaignResult run_scenario_campaign(const config::ScenarioSpec& spec,
 }
 
 void write_campaign_json(const CampaignResult& result, std::ostream& out) {
-  out << "{\"scenario\":\"" << result.scenario << "\",";
+  out << "{\"scenario\":\"" << util::json_escape(result.scenario) << "\",";
   out << "\"seeds\":{\"first\":" << result.seeds.first
       << ",\"stride\":" << result.seeds.stride << ",\"count\":" << result.seeds.count
       << "},";

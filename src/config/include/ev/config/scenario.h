@@ -11,7 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ev::config {
@@ -253,5 +255,11 @@ bool save_scenario_file(const ScenarioSpec& spec, const std::string& path);
 /// the deterministic number format of scenario text (and of every exporter
 /// fed from it).
 [[nodiscard]] std::string format_double(double value);
+
+/// The closed integer grammars of scenario text, for every other surface
+/// that reads an integer (CLI flags, fault targets): u64 is `digits`, i64 is
+/// `-?digits` — no whitespace, no '+', no overflow. nullopt on anything else.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text);
+[[nodiscard]] std::optional<std::int64_t> parse_i64(std::string_view text);
 
 }  // namespace ev::config

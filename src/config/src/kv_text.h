@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "ev/config/scenario.h"
+
 namespace ev::config::detail {
 
 [[noreturn]] inline void fail(const std::string& what) {
@@ -95,27 +97,18 @@ inline std::uint64_t parse_u64(const std::string& s, const std::string& key,
   if (!match_decimal(s, /*allow_sign=*/false, /*allow_fraction=*/false))
     fail(std::string(ctx) + ": '" + key + "' expects a non-negative integer, got '" +
          s + "'");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0')
-    fail(std::string(ctx) + ": '" + key + "' expects a non-negative integer, got '" +
-         s + "'");
-  if (errno == ERANGE) fail_range(s, key, ctx);
-  return static_cast<std::uint64_t>(v);
+  const std::optional<std::uint64_t> v = ::ev::config::parse_u64(s);
+  if (!v) fail_range(s, key, ctx);
+  return *v;
 }
 
 inline std::int64_t parse_i64(const std::string& s, const std::string& key,
                               const char* ctx) {
   if (!match_decimal(s, /*allow_sign=*/true, /*allow_fraction=*/false))
     fail(std::string(ctx) + ": '" + key + "' expects an integer, got '" + s + "'");
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0')
-    fail(std::string(ctx) + ": '" + key + "' expects an integer, got '" + s + "'");
-  if (errno == ERANGE) fail_range(s, key, ctx);
-  return static_cast<std::int64_t>(v);
+  const std::optional<std::int64_t> v = ::ev::config::parse_i64(s);
+  if (!v) fail_range(s, key, ctx);
+  return *v;
 }
 
 inline bool parse_bool(const std::string& s, const std::string& key, const char* ctx) {

@@ -1,5 +1,6 @@
 #include "ev/config/scenario.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -149,6 +150,26 @@ std::string format_double(double value) {
     if (std::strtod(buf, nullptr) == value) break;
   }
   return buf;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  const std::string s(text);
+  if (!detail::match_decimal(s, /*allow_sign=*/false, /*allow_fraction=*/false))
+    return std::nullopt;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) return std::nullopt;
+  return static_cast<std::uint64_t>(v);
+}
+
+std::optional<std::int64_t> parse_i64(std::string_view text) {
+  const std::string s(text);
+  if (!detail::match_decimal(s, /*allow_sign=*/true, /*allow_fraction=*/false))
+    return std::nullopt;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) return std::nullopt;
+  return static_cast<std::int64_t>(v);
 }
 
 std::string to_string(CycleKind kind) {

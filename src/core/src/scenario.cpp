@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "ev/core/subsystems.h"
+#include "ev/util/json.h"
 
 namespace ev::core {
 namespace {
@@ -103,7 +104,7 @@ ScenarioRunResult run_scenario(const config::ScenarioSpec& spec,
 void write_result_json(const ScenarioRunResult& result, std::ostream& out) {
   const CoSimResult& r = result.cosim;
   const powertrain::CycleResult& c = r.cycle;
-  out << "{\"scenario\":\"" << result.scenario << "\",";
+  out << "{\"scenario\":\"" << util::json_escape(result.scenario) << "\",";
   out << "\"drive\":{";
   out << "\"distance_km\":";
   json_value(out, c.distance_km);

@@ -1,8 +1,8 @@
 #include "ev/core/subsystems.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 
 #include "ev/network/bus.h"
@@ -31,15 +31,17 @@ std::size_t resolve_partition(VehicleSystem& vehicle, const std::string& target)
                               "'");
 }
 
-std::size_t parse_cell_index(const std::string& target) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(target.c_str(), &end, 10);
-  if (end == target.c_str() || *end != '\0')
-    throw std::invalid_argument("FaultsSubsystem: sensor fault target '" + target +
-                                "' is not a cell index");
-  return static_cast<std::size_t>(v);
+/// The pack cell a bms.stuck_voltage fault names, checked against the pack
+/// before the run starts — the same grammar and range `evsys check` uses.
+std::size_t resolve_cell(VehicleSystem& vehicle, const std::string& target) {
+  const std::size_t cells = vehicle.powertrain().pack().cell_count();
+  const std::optional<std::uint64_t> cell = config::parse_u64(target);
+  if (!cell || *cell >= cells)
+    throw std::invalid_argument("FaultsSubsystem: sensor fault targets cell '" + target +
+                                "' outside the pack (" + std::to_string(cells) +
+                                " cells)");
+  return static_cast<std::size_t>(*cell);
 }
-
 }  // namespace
 
 // ----------------------------------------------------------- observability --
@@ -174,7 +176,7 @@ void FaultsSubsystem::before_run(VehicleSystem& vehicle) {
         break;
       }
       case config::FaultKind::kSensorStuck: {
-        const std::size_t cell = parse_cell_index(event.target);
+        const std::size_t cell = resolve_cell(vehicle, event.target);
         bms::BatteryManager* bms = &vehicle.powertrain().bms();
         const double stuck_v = event.value;
         plan_->add(at, label, [bms, cell, stuck_v] {

@@ -13,6 +13,7 @@
 #include "ev/config/scenario.h"  // format_double
 #include "ev/faults/grid_faults.h"
 #include "ev/util/crc.h"
+#include "ev/util/json.h"
 #include "ev/util/rng.h"
 
 namespace ev::fleet {
@@ -285,7 +286,8 @@ void write_double(std::ostream& out, double value) {
 void write_fleet_json(const FleetResult& result, std::ostream& out) {
   char digest[16];
   std::snprintf(digest, sizeof digest, "%08x", result.digest);
-  out << "{\"fleet\":\"" << result.name << "\",\"stations\":" << result.station_count
+  out << "{\"fleet\":\"" << util::json_escape(result.name)
+      << "\",\"stations\":" << result.station_count
       << ",\"seed\":" << result.seed << ",\"ticks\":" << result.ticks
       << ",\"sim_hours\":";
   write_double(out, result.sim_hours);

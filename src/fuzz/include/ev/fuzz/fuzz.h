@@ -16,7 +16,7 @@
 ///      the E19 contract (no observed maximum exceeds its static bound,
 ///      on surfaces no fault can perturb), and the E24 contract (analytic
 ///      P(miss) dominates the observed miss frequency on every armed CAN
-///      bus).
+///      bus) — both through the shared ev/analysis/oracle.h.
 ///
 /// Failures are minimized by a greedy delta-shrinker over generator
 /// choices and dumped as reproducer `.scn` files. The report is a pure

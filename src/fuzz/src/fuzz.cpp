@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -11,22 +10,19 @@
 #include <utility>
 
 #include "ev/analysis/analyzer.h"
+#include "ev/analysis/oracle.h"
 #include "ev/analysis/prob.h"
 #include "ev/campaign/worker_pool.h"
 #include "ev/core/scenario.h"
 #include "ev/core/subsystems.h"
-#include "ev/network/can.h"
-#include "ev/obs/metrics.h"
-#include "ev/sim/simulator.h"
 #include "ev/util/crc.h"
+#include "ev/util/json.h"
 #include "ev/util/rng.h"
-#include "ev/util/stats.h"
 
 namespace ev::fuzz {
 namespace {
 
 using analysis::BusModel;
-using analysis::Diagnostic;
 using analysis::FrameMissBound;
 using analysis::FrameModel;
 using analysis::ProbOutcome;
@@ -52,24 +48,6 @@ template <typename T, std::size_t N>
 T pick(util::Rng& rng, const T (&options)[N]) {
   return options[static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(N) - 1))];
-}
-
-bool is_bus_fault(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kBusDrop:
-    case FaultKind::kBusCorrupt:
-    case FaultKind::kBusOff:
-    case FaultKind::kBusBabble:
-    case FaultKind::kBusErrorRate:
-    case FaultKind::kBusErrorProb:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_partition_fault(FaultKind kind) {
-  return kind == FaultKind::kPartitionCrash || kind == FaultKind::kPartitionHang;
 }
 
 bool is_error_model_fault(FaultKind kind) {
@@ -245,28 +223,6 @@ void generate_arch(util::Rng& rng, const VehicleModel& model, ScenarioSpec& spec
   }
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Oracles
 // ---------------------------------------------------------------------------
@@ -318,160 +274,31 @@ std::string conservation_violation(const core::ScenarioRunResult& run) {
   return {};
 }
 
-/// E19 contract on every surface no declared fault can perturb. Faulted
-/// buses (and buses that receive gateway routes from them) are excluded
-/// from the frame-latency compare, partition faults exclude the pub/sub
-/// compare, any bus fault excludes the gateway-hop compare — the static
-/// bounds are deterministic and make no claim under those faults.
+/// E19 contract on every surface no declared fault can perturb; counts the
+/// comparisons up to and including the first violation.
 std::string bound_violations(const VehicleModel& model, const Report& report,
                              core::VehicleSystem& vehicle, const ScenarioSpec& spec,
                              std::size_t* comparisons) {
-  auto* obs = vehicle.find_subsystem<core::ObservabilitySubsystem>();
-  if (obs == nullptr) return {};
-  obs::MetricsRegistry& metrics = obs->metrics();
-
-  bool any_bus_fault = false;
-  bool any_partition_fault = false;
-  std::set<std::size_t> tainted;
-  for (const config::FaultEventSpec& fault : spec.faults) {
-    if (is_partition_fault(fault.kind)) any_partition_fault = true;
-    if (!is_bus_fault(fault.kind)) continue;
-    any_bus_fault = true;
-    for (std::size_t b = 0; b < model.buses.size(); ++b)
-      if (model.buses[b].scenario_name == fault.target) tainted.insert(b);
-  }
-  // A faulted bus perturbs every bus it routes into (the gateway re-injects
-  // late or babbled frames there), transitively.
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (const analysis::RouteModel& route : model.routes)
-      if (tainted.count(route.from_bus) != 0 && tainted.count(route.to_bus) == 0) {
-        tainted.insert(route.to_bus);
-        changed = true;
-      }
-  }
-
-  const auto observed_max = [&metrics](const std::string& name, double* max,
-                                       std::size_t* samples) {
-    const obs::MetricId id = metrics.find(name);
-    if (id == obs::kInvalidId) return false;
-    const util::RunningStats& stats = metrics.histogram_stats(id);
-    if (stats.count() == 0) return false;
-    *max = stats.max();
-    *samples = stats.count();
-    return true;
-  };
-
-  for (std::size_t b = 0; b < model.buses.size(); ++b) {
-    if (tainted.count(b) != 0) continue;
-    const BusModel& bus = model.buses[b];
-    const Diagnostic* d = report.find("rta.bus", bus.scenario_name);
-    if (d == nullptr) continue;
-    double max = 0.0;
-    std::size_t samples = 0;
-    if (!observed_max("net." + bus.display_name + ".frame_latency_us", &max,
-                      &samples))
-      continue;
+  for (const analysis::BoundCheck& check :
+       analysis::bound_checks(model, report, vehicle, spec.faults)) {
     ++*comparisons;
-    if (max > d->bound)
-      return bus.scenario_name + " frame latency " + config::format_double(max) +
-             " us exceeds static bound " + config::format_double(d->bound) + " us";
-  }
-  if (!any_partition_fault) {
-    double pubsub_bound = 0.0;
-    for (const Diagnostic& d : report.diagnostics)
-      if (d.rule_id == "rta.pubsub") pubsub_bound = std::max(pubsub_bound, d.bound);
-    double max = 0.0;
-    std::size_t samples = 0;
-    if (pubsub_bound > 0.0 &&
-        observed_max("mw." + model.app.ecu_name + ".pubsub.delivery_latency_us",
-                     &max, &samples)) {
-      ++*comparisons;
-      if (max > pubsub_bound)
-        return "pub/sub delivery latency " + config::format_double(max) +
-               " us exceeds static bound " + config::format_double(pubsub_bound) +
-               " us";
+    if (check.sound()) continue;
+    std::string what;
+    switch (check.surface) {
+      case analysis::BoundSurface::kBusFrame:
+        what = check.subject + " frame latency ";
+        break;
+      case analysis::BoundSurface::kPubSub: what = "pub/sub delivery latency "; break;
+      case analysis::BoundSurface::kGatewayHop: what = "gateway hop latency "; break;
     }
-  }
-  if (!any_bus_fault) {
-    if (const Diagnostic* d = report.find("gw.delay", "central-gateway")) {
-      double max = 0.0;
-      std::size_t samples = 0;
-      if (observed_max("net.gw.central-gateway.hop_latency_us", &max, &samples)) {
-        ++*comparisons;
-        if (max > d->bound)
-          return "gateway hop latency " + config::format_double(max) +
-                 " us exceeds static bound " + config::format_double(d->bound) +
-                 " us";
-      }
-    }
+    return what + config::format_double(check.observed_us) +
+           " us exceeds static bound " + config::format_double(check.bound_us) + " us";
   }
   return {};
 }
 
-/// Per-frame tally of one prob-oracle testbed run (E24's harness).
-struct FrameTally {
-  std::size_t sent = 0;
-  std::size_t missed = 0;
-};
-
-/// One standalone fault-injection run of armed CAN bus \p bus_idx: every
-/// analyzer-modelled frame is sent on its period from t = 0 (the
-/// synchronous critical instant), the seeded error model destroys
-/// transmissions, and deliveries later than one period count as misses.
-std::vector<FrameTally> run_prob_testbed(const VehicleModel& model,
-                                         std::size_t bus_idx,
-                                         const analysis::BusErrorModel& error_model,
-                                         std::uint64_t seed, double send_s) {
-  const BusModel& bus_model = model.buses[bus_idx];
-  sim::Simulator sim;
-  network::CanBus bus(sim, bus_model.scenario_name, bus_model.bit_rate_bps);
-
-  network::CanErrorModel armed;
-  armed.poisson_rate_per_s = error_model.poisson_rate_per_s;
-  armed.per_attempt_prob = error_model.per_attempt_prob;
-  armed.seed = seed ^ (0x9e3779b97f4a7c15ULL * (bus_idx + 1));
-  bus.arm_error_model(armed);
-
-  std::vector<std::size_t> frames;
-  std::map<std::uint32_t, std::size_t> slot_of_id;
-  for (std::size_t f = 0; f < model.frames.size(); ++f)
-    if (model.frames[f].bus == bus_idx && model.frames[f].payload_bytes <= 8) {
-      slot_of_id[model.frames[f].id] = frames.size();
-      frames.push_back(f);
-    }
-
-  std::vector<FrameTally> tallies(frames.size());
-  bus.subscribe([&](const network::Frame& frame, sim::Time delivered) {
-    const auto it = slot_of_id.find(frame.id);
-    if (it == slot_of_id.end()) return;
-    const double latency_s = (delivered - frame.created).to_seconds();
-    if (latency_s > model.frames[frames[it->second]].period_s + 1e-12)
-      ++tallies[it->second].missed;
-  });
-
-  const sim::Time send_until = sim::Time::seconds(send_s);
-  for (std::size_t s = 0; s < frames.size(); ++s) {
-    const FrameModel& frame = model.frames[frames[s]];
-    sim.schedule_periodic(sim::Time{}, sim::Time::seconds(frame.period_s), [&, s] {
-      if (sim.now() > send_until) return;
-      network::Frame tx;
-      tx.id = model.frames[frames[s]].id;
-      tx.payload_size = model.frames[frames[s]].payload_bytes;
-      if (bus.send(tx)) ++tallies[s].sent;
-    });
-  }
-  sim.run_until(send_until + sim::Time::seconds(3.0));
-  return tallies;
-}
-
-/// Two-sided Hoeffding slack with failure mass 1e-9 per comparison: an
-/// observation beyond analytic + tolerance is a real soundness violation,
-/// not sampling noise.
-double hoeffding_tolerance(std::size_t n) {
-  if (n == 0) return 1.0;
-  return std::sqrt(std::log(1e9) / (2.0 * static_cast<double>(n)));
-}
+/// Backlog drain of the prob-oracle testbed after its send window.
+constexpr double kProbDrainS = 3.0;
 
 /// E24 contract for every armed CAN bus of \p spec.
 std::string prob_violations(const VehicleModel& model, const ScenarioSpec& spec,
@@ -482,23 +309,19 @@ std::string prob_violations(const VehicleModel& model, const ScenarioSpec& spec,
                    }))
     return {};
   analysis::ProbabilisticCanAnalyzer analyzer(model);
-  for (std::size_t b = 0; b < model.buses.size(); ++b) {
+  for (const std::size_t b : analysis::armed_can_buses(analyzer)) {
     const ProbOutcome& outcome = analyzer.bus_outcome(b);
-    if (!outcome.model.armed() ||
-        model.buses[b].protocol != analysis::Protocol::kCan)
-      continue;
-    const std::vector<FrameTally> tallies =
-        run_prob_testbed(model, b, analyzer.error_models()[b],
-                         spec.fault_seed, send_s);
+    const std::vector<analysis::FrameTally> tallies = analysis::run_prob_testbed(
+        model, b, analyzer.error_models()[b], spec.fault_seed, send_s, kProbDrainS);
     for (std::size_t s = 0; s < outcome.frames.size(); ++s) {
       const FrameMissBound& bound = outcome.frames[s];
-      const FrameTally& tally = tallies[s];
+      const analysis::FrameTally& tally = tallies[s];
       if (tally.sent == 0) continue;
       ++*comparisons;
       const double observed = static_cast<double>(tally.missed) /
                               static_cast<double>(tally.sent);
       const double limit =
-          bound.miss_probability + hoeffding_tolerance(tally.sent);
+          bound.miss_probability + analysis::hoeffding_tolerance(tally.sent);
       if (observed > limit) {
         char id_hex[16];
         std::snprintf(id_hex, sizeof id_hex, "0x%x",
@@ -931,7 +754,7 @@ void write_fuzz_json(const FuzzResult& result, std::ostream& out) {
     char digest[16];
     std::snprintf(digest, sizeof digest, "0x%08x", outcome.result_digest);
     out << "    {\"index\": " << outcome.index << ", \"name\": \""
-        << json_escape(outcome.spec.name) << "\", \"verdict\": \""
+        << util::json_escape(outcome.spec.name) << "\", \"verdict\": \""
         << to_string(outcome.verdict) << "\", \"check_errors\": "
         << outcome.check_errors << ", \"check_warnings\": "
         << outcome.check_warnings << ", \"bound_comparisons\": "
@@ -947,8 +770,8 @@ void write_fuzz_json(const FuzzResult& result, std::ostream& out) {
     first = false;
     out << "    {\"index\": " << outcome.index << ", \"kind\": \""
         << to_string(outcome.failure) << "\", \"detail\": \""
-        << json_escape(outcome.detail) << "\", \"reproducer\": \""
-        << json_escape(outcome.reproducer) << "\"}";
+        << util::json_escape(outcome.detail) << "\", \"reproducer\": \""
+        << util::json_escape(outcome.reproducer) << "\"}";
   }
   for (const int index : result.fleet_round_trip_failures) {
     if (!first) out << ",\n";

@@ -15,10 +15,6 @@
 
 namespace ev::obs {
 
-/// Renders \p value the way every exporter prints doubles: shortest
-/// round-trippable decimal form ("%.17g" trimmed), deterministic across runs.
-[[nodiscard]] std::string format_double(double value);
-
 /// Writes one JSON object: {"counters":{...},"gauges":{...},"histograms":
 /// {name:{count,mean,stddev,min,max,sum,lo,hi,bins:[...]}}}. Metrics appear
 /// in registration order.

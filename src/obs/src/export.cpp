@@ -6,29 +6,15 @@
 #include <ostream>
 #include <vector>
 
+#include "ev/config/scenario.h"
+#include "ev/util/json.h"
+
 namespace ev::obs {
 
-namespace {
+using config::format_double;
+using util::json_escape;
 
-/// JSON/CSV-safe rendering of an interned name (quotes, backslashes, and
-/// control characters escaped; names are plain identifiers in practice).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
+namespace {
 
 void write_histogram_json(const MetricsRegistry& reg, MetricId id, std::ostream& out) {
   const util::RunningStats& st = reg.histogram_stats(id);
@@ -58,36 +44,25 @@ std::vector<MetricId> ids_of_kind(const MetricsRegistry& reg, MetricKind kind) {
 
 }  // namespace
 
-std::string format_double(double value) {
-  // Shortest decimal form that parses back to the same double: deterministic
-  // output without the noise of a fixed 17-digit rendering.
-  char buf[32];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
-}
-
 void write_metrics_json(const MetricsRegistry& reg, std::ostream& out) {
   out << "{\n  \"counters\": {";
   bool first = true;
   for (const MetricId id : ids_of_kind(reg, MetricKind::kCounter)) {
-    out << (first ? "" : ",") << "\n    \"" << escape(reg.name(id))
+    out << (first ? "" : ",") << "\n    \"" << json_escape(reg.name(id))
         << "\": " << reg.counter_value(id);
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const MetricId id : ids_of_kind(reg, MetricKind::kGauge)) {
-    out << (first ? "" : ",") << "\n    \"" << escape(reg.name(id))
+    out << (first ? "" : ",") << "\n    \"" << json_escape(reg.name(id))
         << "\": " << format_double(reg.gauge_value(id));
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const MetricId id : ids_of_kind(reg, MetricKind::kHistogram)) {
-    out << (first ? "" : ",") << "\n    \"" << escape(reg.name(id)) << "\": ";
+    out << (first ? "" : ",") << "\n    \"" << json_escape(reg.name(id)) << "\": ";
     write_histogram_json(reg, id, out);
     first = false;
   }
@@ -97,7 +72,7 @@ void write_metrics_json(const MetricsRegistry& reg, std::ostream& out) {
 void write_metrics_csv(const MetricsRegistry& reg, std::ostream& out) {
   out << "kind,name,field,value\n";
   for (MetricId id = 0; id < reg.size(); ++id) {
-    const std::string name = escape(reg.name(id));
+    const std::string name = json_escape(reg.name(id));
     switch (reg.kind(id)) {
       case MetricKind::kCounter:
         out << "counter," << name << ",value," << reg.counter_value(id) << '\n';
@@ -131,8 +106,8 @@ void write_chrome_trace(const TraceLog& trace, std::ostream& out) {
     if (s.end_ns < s.begin_ns) continue;  // open span: no complete event
     if (!first) out << ",\n";
     first = false;
-    out << "{\"name\":\"" << escape(trace.names().name(s.name)) << "\",\"cat\":\""
-        << escape(trace.names().name(s.category))
+    out << "{\"name\":\"" << json_escape(trace.names().name(s.name)) << "\",\"cat\":\""
+        << json_escape(trace.names().name(s.category))
         << "\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":"
         << format_double(static_cast<double>(s.begin_ns) * 1e-3)
         << ",\"dur\":" << format_double(static_cast<double>(s.end_ns - s.begin_ns) * 1e-3);
@@ -140,7 +115,7 @@ void write_chrome_trace(const TraceLog& trace, std::ostream& out) {
       out << ",\"args\":{";
       for (std::uint8_t i = 0; i < s.attr_count; ++i) {
         if (i) out << ',';
-        out << '"' << escape(trace.names().name(s.attrs[i].key))
+        out << '"' << json_escape(trace.names().name(s.attrs[i].key))
             << "\":" << format_double(s.attrs[i].value);
       }
       out << '}';

@@ -11,6 +11,7 @@
 #include "ev/analysis/model.h"
 #include "ev/campaign/worker_pool.h"
 #include "ev/network/can.h"
+#include "ev/util/json.h"
 #include "ev/util/math.h"
 #include "ev/util/rng.h"
 
@@ -402,15 +403,6 @@ void pareto_insert(std::vector<ParetoPoint>& archive, const Fitness& fitness,
   archive.push_back({fitness, accepted});
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 void write_fitness_json(const Fitness& fitness, std::ostream& out) {
   out << "{\"errors\": " << fitness.errors << ", \"warnings\": " << fitness.warnings
       << ", \"worst_slack_us\": " << config::format_double(fitness.worst_slack_us)
@@ -694,7 +686,7 @@ SynthesisResult synthesize(const config::ScenarioSpec& input,
 
 void write_synthesis_json(const SynthesisResult& result, std::ostream& out) {
   out << "{\n";
-  out << "  \"scenario\": \"" << json_escape(result.spec.name) << "\",\n";
+  out << "  \"scenario\": \"" << util::json_escape(result.spec.name) << "\",\n";
   out << "  \"seed\": " << result.seed << ",\n";
   out << "  \"iters\": " << result.iters << ",\n";
   out << "  \"feasible\": " << (result.feasible ? "true" : "false") << ",\n";

@@ -15,7 +15,10 @@
 #include "ev/analysis/diagnostics.h"
 #include "ev/analysis/fitness.h"
 #include "ev/analysis/model.h"
+#include "ev/campaign/campaign.h"
 #include "ev/config/scenario.h"
+#include "ev/core/scenario.h"
+#include "ev/fleet/simulation.h"
 
 namespace {
 
@@ -260,6 +263,35 @@ TEST(Diagnostics, JsonEscapesAndFindsBySubject) {
   EXPECT_NE(json.find("tab\\there"), std::string::npos);
   EXPECT_EQ(report.find("rta.bus", "nope"), nullptr);
   ASSERT_NE(report.find("rta.bus", "bus\n1"), nullptr);
+}
+
+TEST(Diagnostics, JsonEscapesControlBytes) {
+  // validate() admits control bytes in scenario.name; the report must still
+  // be valid JSON, so they render as \u00xx escapes, never raw.
+  Report report;
+  report.scenario = "bad\x01name";
+  report.add(Severity::kInfo, "rta.bus", "bus\x1f", "bell\a", 0.5);
+  const std::string json = report_json(report);
+  EXPECT_NE(json.find("\"scenario\": \"bad\\u0001name\""), std::string::npos);
+  EXPECT_NE(json.find("bus\\u001f"), std::string::npos);
+  EXPECT_NE(json.find("bell\\u0007"), std::string::npos);
+  for (const char c : json)
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20) << int{c};
+}
+
+TEST(Diagnostics, EveryReportEscapesTheScenarioName) {
+  // The run, campaign and fleet reports print the same user-chosen name.
+  const std::string name = "bad\x01\"name";
+  const std::string escaped = "bad\\u0001\\\"name";
+  ev::core::ScenarioRunResult run;
+  run.scenario = name;
+  EXPECT_NE(ev::core::result_json(run).find(escaped), std::string::npos);
+  ev::campaign::CampaignResult campaign;
+  campaign.scenario = name;
+  EXPECT_NE(ev::campaign::campaign_json(campaign).find(escaped), std::string::npos);
+  ev::fleet::FleetResult fleet;
+  fleet.name = name;
+  EXPECT_NE(ev::fleet::fleet_report_json(fleet).find(escaped), std::string::npos);
 }
 
 // ------------------------------------------------- incremental fitness ------

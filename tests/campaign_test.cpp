@@ -5,12 +5,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "ev/campaign/campaign.h"
-#include "ev/campaign/parallel.h"
+#include "ev/campaign/worker_pool.h"
 #include "ev/config/scenario.h"
 
 namespace {
@@ -21,34 +22,39 @@ using ev::campaign::SeedPlan;
 
 // ------------------------------------------------------------- parallel ----
 
+// A one-shot fan the way the campaign runner and the bench harness size it.
+void run_fan(int count, int jobs, const std::function<void(int)>& fn) {
+  ev::campaign::WorkerPool pool(ev::campaign::resolve_jobs(jobs, count));
+  pool.run(count, fn);
+}
+
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (const int jobs : {1, 2, 3, 8}) {
     std::vector<std::atomic<int>> hits(37);
-    ev::campaign::parallel_for(37, jobs, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
+    run_fan(37, jobs, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
     for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
   }
 }
 
 TEST(ParallelFor, HandlesDegenerateShapes) {
   std::atomic<int> calls{0};
-  ev::campaign::parallel_for(0, 4, [&](int) { ++calls; });
+  run_fan(0, 4, [&](int) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
-  ev::campaign::parallel_for(3, 16, [&](int) { ++calls; });  // jobs > count
+  run_fan(3, 16, [&](int) { ++calls; });  // jobs > count
   EXPECT_EQ(calls.load(), 3);
-  ev::campaign::parallel_for(5, 0, [&](int) { ++calls; });  // 0 = hardware
+  run_fan(5, 0, [&](int) { ++calls; });  // 0 = hardware
   EXPECT_EQ(calls.load(), 8);
 }
 
 TEST(ParallelFor, PropagatesTheFirstException) {
   std::atomic<int> completed{0};
-  EXPECT_THROW(
-      ev::campaign::parallel_for(16, 4,
-                                 [&](int i) {
-                                   if (i == 5) throw std::runtime_error("boom");
-                                   ++completed;
-                                 }),
-      std::runtime_error);
-  EXPECT_EQ(completed.load(), 15);  // the pool drains before rethrowing
+  EXPECT_THROW(run_fan(16, 4,
+                       [&](int i) {
+                         if (i == 5) throw std::runtime_error("boom");
+                         ++completed;
+                       }),
+               std::runtime_error);
+  EXPECT_EQ(completed.load(), 15);  // the round drains before rethrowing
 }
 
 TEST(ResolveJobs, ClampsToTaskCount) {

@@ -3,10 +3,15 @@
 #   unknown verb           -> exit 2, stderr enumerates every valid verb
 #   unknown template kind  -> exit 2, stderr enumerates the template kinds
 #   explicit 'template scenario' and bare 'template' -> identical output
-# Expects -DEVSYS=<path to the evsys binary>.
-if(NOT DEFINED EVSYS)
-  message(FATAL_ERROR "pass -DEVSYS=<binary>")
+#   malformed or out-of-range numeric flag -> exit 2, stderr names the flag
+#   bms.stuck_voltage cell outside the pack -> `check` exit 1, `run` fails
+#                                              before simulating, naming it
+# Expects -DEVSYS=<path to the evsys binary>, -DSOURCE_DIR=<repo root> and
+# -DWORK_DIR=<scratch directory>.
+if(NOT DEFINED EVSYS OR NOT DEFINED SOURCE_DIR OR NOT DEFINED WORK_DIR)
+  message(FATAL_ERROR "pass -DEVSYS=<binary> -DSOURCE_DIR=<repo> -DWORK_DIR=<dir>")
 endif()
+set(limp "${SOURCE_DIR}/examples/scenarios/limp_home.scn")
 
 execute_process(
   COMMAND "${EVSYS}" frobnicate
@@ -71,3 +76,52 @@ if(NOT code EQUAL 2)
   message(FATAL_ERROR "no arguments: expected exit 2, got ${code}")
 endif()
 message(STATUS "bare invocation exits 2 with usage")
+
+# Numeric flags read the closed integer grammar of scenario text: no sign
+# on unsigned values, no whitespace or trailing garbage, no overflow.
+function(expect_flag_error flag)
+  execute_process(
+    COMMAND "${EVSYS}" ${ARGN}
+    RESULT_VARIABLE code
+    ERROR_VARIABLE err
+    OUTPUT_QUIET)
+  if(NOT code EQUAL 2)
+    message(FATAL_ERROR "'${ARGN}': expected exit 2, got ${code}\n${err}")
+  endif()
+  if(NOT err MATCHES "${flag} expects")
+    message(FATAL_ERROR "'${ARGN}': stderr does not name ${flag}:\n${err}")
+  endif()
+endfunction()
+expect_flag_error(--first campaign "${limp}" --seeds 1 --first -1)
+expect_flag_error(--jobs campaign "${limp}" --seeds 1 --jobs abc)
+expect_flag_error(--seeds campaign "${limp}" --seeds 2x)
+expect_flag_error(--stride campaign "${limp}" --stride 99999999999999999999)
+expect_flag_error(--count fuzz --count +3)
+expect_flag_error(--seed fuzz --seed -5)
+expect_flag_error(--jobs fuzz --jobs 4294967296)
+expect_flag_error(--iters synthesize "${limp}" --iters 1e3)
+expect_flag_error(--jobs fleet "${SOURCE_DIR}/examples/scenarios/depot_fleet.fleet"
+                  --jobs " 3")
+message(STATUS "malformed numeric flags exit 2 naming the flag")
+
+# A stuck-voltage fault on cell -1: `check` and `run` agree it names no cell.
+file(READ "${limp}" text)
+set(bad_cell "${WORK_DIR}/bad_cell.scn")
+file(WRITE "${bad_cell}" "${text}fault.4 = 3 bms.stuck_voltage -1 3.7\n")
+execute_process(
+  COMMAND "${EVSYS}" check "${bad_cell}"
+  RESULT_VARIABLE code
+  OUTPUT_QUIET
+  ERROR_VARIABLE err)
+if(NOT code EQUAL 1 OR NOT err MATCHES "fault.unknown_target")
+  message(FATAL_ERROR "check on cell -1: expected exit 1 with fault.unknown_target, got ${code}:\n${err}")
+endif()
+execute_process(
+  COMMAND "${EVSYS}" run "${bad_cell}"
+  RESULT_VARIABLE code
+  OUTPUT_QUIET
+  ERROR_VARIABLE err)
+if(NOT code EQUAL 1 OR NOT err MATCHES "sensor fault targets cell '-1' outside the pack")
+  message(FATAL_ERROR "run on cell -1: expected exit 1 naming the target, got ${code}:\n${err}")
+endif()
+message(STATUS "run rejects the stuck-voltage cell check rejects, before simulating")

@@ -312,4 +312,34 @@ TEST(Subsystems, UnknownFaultTargetThrowsOnRun) {
   EXPECT_THROW((void)vehicle->run(short_cycle()), std::invalid_argument);
 }
 
+TEST(Subsystems, StuckVoltageCellOutsidePackThrowsBeforeSimulating) {
+  // `evsys check` rejects these targets (fault.unknown_target); `run` must
+  // reject the same ones with the same grammar, before any simulated time.
+  ev::config::ScenarioSpec spec;
+  spec.subsystems.obs = false;
+  spec.subsystems.faults = true;
+  const std::string pack_cells =
+      std::to_string(spec.pack.module_count * spec.pack.cells_per_module);
+  for (const std::string& target :
+       {std::string("-1"), std::string("18446744073709551615"), pack_cells,
+        std::string("+3"), std::string("3x")}) {
+    spec.faults = {ev::config::FaultEventSpec{
+        3.0, ev::config::FaultKind::kSensorStuck, target, 3.7}};
+    auto vehicle = build_vehicle(spec);
+    try {
+      (void)vehicle->run(short_cycle());
+      ADD_FAILURE() << "target '" << target << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + target + "'"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(vehicle->simulator().now().to_seconds(), 0.0) << target;
+  }
+  // The last cell of the pack is a valid target.
+  spec.faults = {ev::config::FaultEventSpec{
+      3.0, ev::config::FaultKind::kSensorStuck,
+      std::to_string(spec.pack.module_count * spec.pack.cells_per_module - 1), 3.7}};
+  EXPECT_NO_THROW((void)build_vehicle(spec)->run(short_cycle()));
+}
+
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "ev/config/scenario.h"
 #include "ev/obs/export.h"
 #include "ev/obs/metric_id.h"
 #include "ev/obs/metrics.h"
@@ -21,6 +22,7 @@
 namespace {
 
 using namespace ev::obs;
+using ev::config::format_double;
 using ev::sim::Simulator;
 using ev::sim::Time;
 
@@ -240,6 +242,7 @@ TEST(SimObserver, CountsAndAttributesEvents) {
 // -------------------------------------------------------------- exporters ----
 
 TEST(Export, FormatDoubleRoundTrips) {
+  // Every exporter prints doubles through config::format_double.
   for (double v : {0.0, 1.0, -2.5, 3.141592653589793, 1e-30, 6.02e23, 0.1}) {
     const std::string s = format_double(v);
     EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;

@@ -3,8 +3,10 @@
 // and the charging-session attack/defence matrix.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "ev/security/chacha20.h"
 #include "ev/security/charging.h"
@@ -245,7 +247,12 @@ struct ChargingCase {
   MitmAttacker::Attack attack;
   bool authenticate;
   bool expect_fraud;  // billed != delivered or V2G accepted
+  // gtest names each case by its raw bytes; an explicit zeroed tail instead
+  // of padding keeps those names independent of stack contents.
+  std::uint16_t reserved = 0;
 };
+static_assert(std::has_unique_object_representations_v<ChargingCase>,
+              "ChargingCase must have no padding bytes");
 
 class ChargingMatrix : public ::testing::TestWithParam<ChargingCase> {};
 

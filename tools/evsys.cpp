@@ -13,11 +13,13 @@
 //   $ evsys print examples/scenarios/city_commute.scn   # canonical round-trip
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "ev/analysis/analyzer.h"
@@ -48,6 +50,31 @@ std::string join_names(const char* const (&names)[N]) {
     out += name;
   }
   return out;
+}
+
+/// A malformed numeric flag value; main() reports it and exits 2.
+struct FlagError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+/// argv[i] as the value of flag argv[i - 1], in the closed u64 grammar of
+/// scenario text (digits only: no sign, no whitespace, no overflow).
+std::uint64_t u64_flag(char** argv, int i) {
+  if (const std::optional<std::uint64_t> v = ev::config::parse_u64(argv[i])) return *v;
+  throw FlagError(std::string(argv[i - 1]) +
+                  " expects a non-negative 64-bit integer, got '" + argv[i] + "'");
+}
+
+/// argv[i] as the int value of flag argv[i - 1] (closed i64 grammar, then
+/// range-checked). Negative values pass: `--jobs -N` means one job per
+/// hardware thread.
+int int_flag(char** argv, int i) {
+  const std::optional<std::int64_t> v = ev::config::parse_i64(argv[i]);
+  if (!v || *v < std::numeric_limits<int>::min() ||
+      *v > std::numeric_limits<int>::max())
+    throw FlagError(std::string(argv[i - 1]) + " expects a 32-bit integer, got '" +
+                    argv[i] + "'");
+  return static_cast<int>(*v);
 }
 
 int usage(const char* argv0) {
@@ -362,7 +389,7 @@ int main(int argc, char** argv) {
       std::string out_path, metrics_base;
       for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-          jobs = std::atoi(argv[++i]);
+          jobs = int_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
           out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
@@ -399,13 +426,13 @@ int main(int argc, char** argv) {
       std::string out_path;
       for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-          options.seeds.count = std::atoi(argv[++i]);
+          options.seeds.count = int_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--first") == 0 && i + 1 < argc) {
-          options.seeds.first = std::strtoull(argv[++i], nullptr, 10);
+          options.seeds.first = u64_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--stride") == 0 && i + 1 < argc) {
-          options.seeds.stride = std::strtoull(argv[++i], nullptr, 10);
+          options.seeds.stride = u64_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-          options.jobs = std::atoi(argv[++i]);
+          options.jobs = int_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
           out_path = argv[++i];
         } else {
@@ -437,11 +464,11 @@ int main(int argc, char** argv) {
       std::string out_path;
       for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-          options.seed = std::strtoull(argv[++i], nullptr, 10);
+          options.seed = u64_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--count") == 0 && i + 1 < argc) {
-          options.count = std::atoi(argv[++i]);
+          options.count = int_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-          options.jobs = std::atoi(argv[++i]);
+          options.jobs = int_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
           out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--repro-dir") == 0 && i + 1 < argc) {
@@ -464,11 +491,11 @@ int main(int argc, char** argv) {
       std::string out_path, report_path;
       for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-          options.seed = std::strtoull(argv[++i], nullptr, 10);
+          options.seed = u64_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-          options.iters = std::atoi(argv[++i]);
+          options.iters = int_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-          options.jobs = std::atoi(argv[++i]);
+          options.jobs = int_flag(argv, ++i);
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
           out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
@@ -488,6 +515,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "evsys: unknown command '%s' (valid: %s)\n",
                  command.c_str(), join_names(kVerbs).c_str());
     return usage(argv[0]);
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "evsys: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "evsys: %s\n", e.what());
     return 1;
