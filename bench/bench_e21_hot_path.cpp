@@ -129,17 +129,57 @@ class Kernel {
 
 }  // namespace legacy
 
-/// E18's dispatch mix, kernel-agnostic: the 44.1 kHz MOST audio stream that
-/// dominates the scenario-vehicle run, a 10 kHz bus tick that chains a
-/// one-shot frame delivery each period (the handler carries a moved-in
-/// 40-byte payload, as a network frame send does — larger than
-/// std::function's inline buffer, within EventFn's 64 bytes), the 1 kHz
-/// middleware major frame, 100 Hz control, 10 Hz pack-state publication, a
-/// watchdog that cancels and re-arms a timeout every control period (the
-/// cancel/reschedule churn the arena free list must absorb), and 200
-/// staggered per-node heartbeats so the live set carries scenario-scale
-/// depth. Returns events dispatched — identical for both kernels by
-/// construction.
+/// The MOST frame clock as ev::network::MostBus runs it, kernel-agnostic:
+/// ticks on the 22,676 ns grid only while async frames are queued, stops on
+/// the first idle tick, and re-arms on the next send at the first grid
+/// boundary at or after now and strictly after the last tick. A tick carries
+/// one frame; the frame that completes a transfer schedules its delivery one
+/// period later.
+template <typename Kernel>
+struct OnDemandFrameClock {
+  static constexpr Time kPeriod = Time::ns(22676);
+
+  Kernel& kernel;
+  std::uint64_t& work;
+  int queued_frames = 0;
+  Time last_tick{};
+  EventId id = ev::sim::kNoEvent;
+
+  void send(int frames) {
+    queued_frames += frames;
+    if (id != ev::sim::kNoEvent) return;
+    // The grid starts at t = 0.
+    Time next = kPeriod * ((kernel.now() + kPeriod - Time::ns(1)) / kPeriod);
+    if (next <= last_tick) next = last_tick + kPeriod;
+    id = kernel.schedule_periodic(next, kPeriod, [this] { tick(); });
+  }
+
+  void tick() {
+    last_tick = kernel.now();
+    if (queued_frames == 0) {
+      (void)kernel.cancel(id);
+      id = ev::sim::kNoEvent;
+      return;
+    }
+    if (--queued_frames == 0)
+      kernel.schedule_in(kPeriod, [&work = work] { ++work; });
+    ++work;
+  }
+};
+
+/// E18's dispatch mix, kernel-agnostic: the on-demand MOST frame clock fed
+/// the scenario vehicle's async traffic (a 256-byte nav transfer of six
+/// frames every 50 ms and two single-frame gateway forwards every 100 ms, so
+/// the clock wakes 40 times a second and stops on the idle tick after each
+/// burst), a 10 kHz bus tick that chains a one-shot frame delivery each
+/// period (the handler carries a moved-in 40-byte payload, as a network frame
+/// send does — larger than std::function's inline buffer, within EventFn's
+/// 64 bytes), the 1 kHz middleware major frame, 100 Hz control, 10 Hz
+/// pack-state publication, a watchdog that cancels and re-arms a timeout
+/// every control period (the cancel/reschedule churn the arena free list
+/// must absorb), and 200 staggered per-node heartbeats so the live set
+/// carries scenario-scale depth. Returns events dispatched — identical for
+/// both kernels by construction.
 template <typename Kernel>
 std::uint64_t run_event_mix(Kernel& kernel, int sim_seconds) {
   std::uint64_t work = 0;
@@ -147,7 +187,10 @@ std::uint64_t run_event_mix(Kernel& kernel, int sim_seconds) {
     double fields[4];
     std::uint64_t id;
   };
-  kernel.schedule_periodic(Time::ns(22676), Time::ns(22676), [&] { ++work; });
+  OnDemandFrameClock<Kernel> most{kernel, work};
+  kernel.schedule_periodic(Time::ms(10), Time::ms(50), [&most] { most.send(6); });
+  kernel.schedule_periodic(Time::ms(25), Time::ms(100), [&most] { most.send(1); });
+  kernel.schedule_periodic(Time::ms(75), Time::ms(100), [&most] { most.send(1); });
   auto timeout = std::make_shared<EventId>(ev::sim::kNoEvent);
   kernel.schedule_periodic(Time::us(100), Time::us(100), [&kernel, &work] {
     FramePayload payload{{1.0, 2.0, 3.0, 4.0}, work};

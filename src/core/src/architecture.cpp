@@ -94,7 +94,7 @@ FunctionNetwork reference_function_network(std::size_t scale) {
   // --- Comfort / body ----------------------------------------------------------
   const auto climate = fn("climate-ctrl", Domain::kComfort, Criticality::kQm, 100000, 1000);
   const auto door = fn("door-module", Domain::kComfort, Criticality::kQm, 50000, 300);
-  const auto seat = fn("seat-module", Domain::kComfort, Criticality::kQm, 200000, 300);
+  fn("seat-module", Domain::kComfort, Criticality::kQm, 200000, 300);
   const auto light = fn("light-ctrl", Domain::kBody, Criticality::kQm, 100000, 250);
   const auto wiper = fn("wiper-ctrl", Domain::kBody, Criticality::kQm, 50000, 250);
   const auto window = fn("window-lift", Domain::kBody, Criticality::kQm, 50000, 200);

@@ -25,7 +25,14 @@ class MostBus : public Bus {
   MostBus(sim::Simulator& sim, std::string name, std::vector<MostStream> streams,
           double bit_rate_bps = 25e6, double frame_rate_hz = 44100.0);
 
-  /// Starts the ring's frame clock.
+  /// Starts the ring's frame clock on the grid `start + k·T` (T = one frame
+  /// period). The clock ticks only while asynchronous traffic is queued: the
+  /// first frame that finds the queue empty stops it, and the next
+  /// asynchronous send re-arms it at the earliest grid boundary that is at or
+  /// after now and strictly after the last frame that ran. Frames and bus
+  /// time are the same as with a clock that never stops; only idle kernel
+  /// events are saved. Frames queued before start() are served from the
+  /// first frame on.
   void start(sim::Time start = {});
 
   /// Frame period [s].
@@ -47,14 +54,22 @@ class MostBus : public Bus {
 
  private:
   void run_frame();
+  /// Schedules the periodic frame tick, first firing at \p first.
+  void arm(sim::Time first);
+  /// Re-arms a dormant frame clock on its grid (see start()).
+  void wake();
 
   std::map<std::uint32_t, MostStream> streams_;
   double frame_rate_hz_;
+  sim::Time frame_period_;  ///< frame_period_s() as integer time.
   std::size_t frame_bytes_;  ///< Total bytes per MOST frame.
   std::size_t sync_bytes_ = 0;
   std::vector<Frame> async_queue_;
   std::size_t async_progress_bytes_ = 0;  ///< Bytes of queue head already carried.
   bool started_ = false;
+  sim::Time grid_origin_{};  ///< The start() time every frame is aligned to.
+  sim::Time last_frame_{};   ///< When the most recent frame tick ran.
+  sim::ScheduledHandle frame_clock_;  ///< Owns the frame tick while armed.
 };
 
 }  // namespace ev::network

@@ -13,12 +13,6 @@ std::vector<std::uint8_t> encode_double_le(double v) {
   return out;
 }
 
-double decode_double_le(const std::vector<std::uint8_t>& data) {
-  double v = 0.0;
-  if (data.size() >= sizeof(double)) std::memcpy(&v, data.data(), sizeof(double));
-  return v;
-}
-
 /// Meter report body: 4-byte sequence number + 8-byte energy value. The
 /// sequence number is what lets an authenticated receiver reject replays.
 std::vector<std::uint8_t> encode_meter(std::uint32_t seq, double kwh) {

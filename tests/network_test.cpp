@@ -4,8 +4,10 @@
 // topology builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <tuple>
 
 #include "ev/network/can.h"
@@ -18,6 +20,7 @@
 #include "ev/obs/metrics.h"
 #include "ev/network/topology.h"
 #include "ev/sim/simulator.h"
+#include "ev/util/rng.h"
 
 namespace {
 
@@ -487,6 +490,161 @@ TEST(Most, AsyncLargeTransferFragmented) {
   EXPECT_EQ(delivered, 0);  // still in flight
   sim.run_until(Time::ms(500));
   EXPECT_EQ(delivered, 1);
+}
+
+TEST(Most, IdleStartedBusStopsItsFrameClock) {
+  Simulator sim;
+  MostBus bus(sim, "most", {});
+  bus.start();
+  sim.run_until(Time::s(1));
+  // One idle frame stops the clock; an eager clock would tick 44,100 times.
+  EXPECT_LE(sim.dispatched(), 1u);
+}
+
+TEST(Most, DormantSendOnAFrameBoundaryIsServedInThatFrame) {
+  Simulator sim;
+  MostBus bus(sim, "most", {});
+  const Time period = Time::seconds(bus.frame_period_s());
+  std::vector<Time> delivered_at;
+  bus.subscribe([&](const Frame&, Time at) { delivered_at.push_back(at); });
+  bus.start();
+  const Time boundary = period * 100;
+  // A long-lag sender, enqueued 2.3 ms (about 100 frames) before it fires.
+  sim.schedule_at(boundary, [&] {
+    Frame f;
+    f.id = 0x900;
+    f.payload_size = 8;
+    (void)bus.send(f);
+  });
+  sim.run_until(Time::ms(10));
+  ASSERT_EQ(delivered_at.size(), 1u);
+  EXPECT_EQ(delivered_at[0], boundary + period);
+}
+
+TEST(Most, SendAtTheInstantTheClockStoppedWaitsForTheNextBoundary) {
+  Simulator sim;
+  MostBus bus(sim, "most", {});
+  const Time period = Time::seconds(bus.frame_period_s());
+  std::vector<std::pair<std::uint32_t, Time>> delivered;
+  bool replied = false;
+  bus.subscribe([&](const Frame& f, Time at) {
+    delivered.emplace_back(f.id, at);
+    if (replied) return;
+    replied = true;
+    // Same instant as the idle frame that stopped the clock.
+    Frame reply;
+    reply.id = 0x901;
+    reply.payload_size = 8;
+    (void)bus.send(reply);
+  });
+  Frame f;
+  f.id = 0x900;
+  f.payload_size = 8;
+  ASSERT_TRUE(bus.send(f));
+  bus.start();  // frame 0 carries f; frame 1 is idle and stops the clock
+  sim.run_until(Time::ms(1));
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[0], std::make_pair(std::uint32_t{0x900}, period));
+  EXPECT_EQ(delivered[1], std::make_pair(std::uint32_t{0x901}, period * 3));
+}
+
+TEST(Most, OnDemandClockMatchesAnEagerFrameGrid) {
+  // Test-local reference: an eager loop over every frame boundary k·T
+  // serving a FIFO byte budget, as a MOST clock that never stops would.
+  struct Send {
+    Time at;
+    std::uint32_t id;
+    std::size_t bytes;
+    Time lag;  // how long before `at` the sender enqueued the send
+  };
+  constexpr double kBitRate = 25e6;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Simulator sim;
+    MostBus bus(sim, "most", {{0x800, 8}}, kBitRate);
+    const Time period = Time::seconds(bus.frame_period_s());
+    const Time until = Time::s(1);
+    ev::util::Rng rng(seed);
+
+    std::vector<Send> sends;
+    std::set<Time> used;
+    const auto add = [&](Time at, std::size_t bytes, Time lag) {
+      if (!used.insert(at).second) return;  // one send per instant: FIFO is unambiguous
+      sends.push_back({at, 0x900 + static_cast<std::uint32_t>(sends.size()), bytes, lag});
+    };
+    // A babbler: 1-byte frames every 100 us for 6.4 ms.
+    const Time babble_start = Time::ms(300) + Time::ns(rng.uniform_int(0, 99'999));
+    for (int i = 0; i < 64; ++i) add(babble_start + Time::us(100) * i, 1, Time::us(100));
+    for (int i = 0; i < 300; ++i) {
+      // Random instants and exact frame boundaries, gateway-like (200 us) or
+      // periodic-source (5 ms) lags, payloads of up to about four frames.
+      const bool on_boundary = rng.bernoulli(0.3);
+      const Time at = on_boundary ? period * rng.uniform_int(250, 22'000)
+                                  : Time::ns(rng.uniform_int(5'000'000, 500'000'000));
+      add(at, static_cast<std::size_t>(rng.uniform_int(1, 200)),
+          rng.bernoulli(0.5) ? Time::us(200) : Time::ms(5));
+    }
+
+    std::vector<std::pair<std::uint32_t, Time>> observed;
+    bus.subscribe([&](const Frame& f, Time at) {
+      if (f.id != 0x800) observed.emplace_back(f.id, at);
+    });
+    for (const Send& s : sends) {
+      sim.schedule_at(s.at - s.lag, [&sim, &bus, s] {
+        sim.schedule_in(s.lag, [&bus, s] {
+          Frame f;
+          f.id = s.id;
+          f.payload_size = s.bytes;
+          (void)bus.send(f);
+        });
+      });
+    }
+    // The synchronous stream keeps its constant-latency path alongside.
+    sim.schedule_periodic(Time::ms(1), Time::ms(5), [&bus] {
+      Frame f;
+      f.id = 0x800;
+      f.payload_size = 8;
+      (void)bus.send(f);
+    });
+    bus.start();
+    sim.run_until(until);
+
+    std::vector<Send> fifo = sends;
+    std::sort(fifo.begin(), fifo.end(),
+              [](const Send& a, const Send& b) { return a.at < b.at; });
+    const auto tx = [&](std::size_t bytes) {
+      return Time::seconds(static_cast<double>(bytes * 8) / kBitRate);
+    };
+    std::vector<std::pair<std::uint32_t, Time>> expected;
+    Time busy{};
+    std::size_t next = 0;
+    std::size_t head = 0;
+    std::size_t progress = 0;
+    for (Time frame{}; frame <= until; frame += period) {
+      // A send at a boundary was enqueued more than a frame earlier, so it
+      // runs before that boundary's frame.
+      while (next < fifo.size() && fifo[next].at <= frame) ++next;
+      std::size_t budget = bus.async_bytes_per_frame();
+      while (head < next && budget > 0) {
+        const std::size_t remaining = fifo[head].bytes - progress;
+        if (remaining > budget) {
+          progress += budget;
+          busy += tx(budget);
+          break;
+        }
+        budget -= remaining;
+        busy += tx(remaining);
+        if (frame + period <= until) expected.emplace_back(fifo[head].id, frame + period);
+        ++head;
+        progress = 0;
+      }
+    }
+    ASSERT_EQ(head, fifo.size()) << "reference did not drain; seed " << seed;
+    // Synchronous bytes are accounted per send, identically on both sides.
+    for (Time t = Time::ms(1); t <= until; t += Time::ms(5)) busy += tx(8);
+
+    EXPECT_EQ(observed, expected) << "seed " << seed;
+    EXPECT_EQ(bus.utilization(), busy.to_seconds() / until.to_seconds()) << "seed " << seed;
+  }
 }
 
 TEST(Most, SyncReservationBoundsChecked) {

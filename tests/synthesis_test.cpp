@@ -133,10 +133,12 @@ TEST(Synthesize, ParetoArchiveIsNonDominatedAndSlackSorted) {
   for (const ParetoPoint& point : result.pareto)
     EXPECT_TRUE(point.fitness.feasible());
   for (std::size_t i = 0; i < result.pareto.size(); ++i)
-    for (std::size_t j = 0; j < result.pareto.size(); ++j)
-      if (i != j)
+    for (std::size_t j = 0; j < result.pareto.size(); ++j) {
+      if (i != j) {
         EXPECT_FALSE(dominates(result.pareto[i].fitness, result.pareto[j].fitness))
             << i << " dominates " << j;
+      }
+    }
   for (std::size_t i = 1; i < result.pareto.size(); ++i)
     EXPECT_GE(result.pareto[i - 1].fitness.worst_slack_us,
               result.pareto[i].fitness.worst_slack_us);
@@ -230,7 +232,9 @@ TEST(FfdPartitionWindows, OrdersByDecreasingBudgetAndCoversDemand) {
   for (std::size_t i = 0; i < windows.size(); ++i) {
     EXPECT_GE(windows[i].second, 1);
     total += windows[i].second;
-    if (i > 0) EXPECT_GE(windows[i - 1].second, windows[i].second);
+    if (i > 0) {
+      EXPECT_GE(windows[i - 1].second, windows[i].second);
+    }
   }
   EXPECT_LE(total, model.app.major_frame_us);
 
