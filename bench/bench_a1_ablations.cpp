@@ -65,11 +65,8 @@ void ablation_balancing_tolerance() {
   for (double tol : {0.002, 0.005, 0.01, 0.02}) {
     ev::battery::CellParameters p;
     p.capacity_ah = 10.0;
-    std::vector<ev::battery::Cell> cells;
-    cells.emplace_back(p, ev::battery::OcvCurve::nmc(), 0.60);
-    cells.emplace_back(p, ev::battery::OcvCurve::nmc(), 0.56);
-    cells.emplace_back(p, ev::battery::OcvCurve::nmc(), 0.53);
-    ev::battery::SeriesModule m(std::move(cells));
+    ev::battery::SeriesModule m({{p, 0.60}, {p, 0.56}, {p, 0.53}},
+                                ev::battery::OcvCurve::nmc());
     ev::bms::PassiveBalancer policy(tol);
     double t_s = 0.0;
     while (t_s < 400000.0 && m.soc_spread() > tol) {

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "ev/campaign/campaign.h"
-#include "ev/campaign/worker_pool.h"
 #include "ev/config/scenario.h"
 #include "ev/util/table.h"
+#include "ev/util/worker_pool.h"
 #include "harness.h"
 
 namespace {
@@ -50,7 +50,7 @@ void run_experiment() {
   std::puts("E20 — parallel deterministic campaign: one scenario, an 8-seed "
             "ladder, jobs = 1/2/4/8\n");
   std::printf("host hardware threads: %d\n\n",
-              ev::campaign::resolve_jobs(0, 1 << 30));
+              ev::util::resolve_jobs(0, 1 << 30));
 
   ev::util::Table table("jobs sweep (same 8-seed campaign, byte-compared reports)",
                         {"jobs", "wall", "speedup", "report identical"});
@@ -100,7 +100,7 @@ void bm_worker_pool_overhead(benchmark::State& state) {
   // Pool spin-up + drain + join for an empty task fan: the fixed cost a
   // campaign pays before any simulation work happens.
   for (auto _ : state) {
-    ev::campaign::WorkerPool pool(4);
+    ev::util::WorkerPool pool(4);
     pool.run(64, [](int i) { benchmark::DoNotOptimize(i); });
   }
 }

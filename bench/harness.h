@@ -19,12 +19,12 @@
 #include <utility>
 #include <vector>
 
-#include "ev/campaign/worker_pool.h"
 #include "ev/obs/export.h"
 #include "ev/obs/metrics.h"
 #include "ev/obs/sim_observer.h"
 #include "ev/obs/span_trace.h"
 #include "ev/sim/simulator.h"
+#include "ev/util/worker_pool.h"
 
 namespace evbench {
 
@@ -108,7 +108,7 @@ inline void run_seeded_campaign(std::uint64_t first, std::uint64_t stride, int r
                                 int jobs, Worker&& worker, Fold&& fold) {
   using Result = std::invoke_result_t<Worker&, std::uint64_t, int>;
   std::vector<std::optional<Result>> results(static_cast<std::size_t>(runs));
-  ev::campaign::WorkerPool pool(ev::campaign::resolve_jobs(jobs, runs));
+  ev::util::WorkerPool pool(ev::util::resolve_jobs(jobs, runs));
   pool.run(runs, [&](int i) {
     results[static_cast<std::size_t>(i)].emplace(
         worker(first + static_cast<std::uint64_t>(i) * stride, i));

@@ -43,13 +43,10 @@ VehicleModel extract_model(const config::ScenarioSpec& spec) {
   network::Figure1Network net(sim, config.network);
 
   const std::vector<network::Bus*> buses = net.buses();
-  static constexpr const char* kScenarioNames[] = {
-      "body_lin", "comfort_can", "infotainment_most", "safety_can",
-      "chassis_flexray"};
   for (std::size_t i = 0; i < buses.size(); ++i) {
     BusModel bus;
     bus.display_name = buses[i]->name();
-    bus.scenario_name = kScenarioNames[i];
+    bus.scenario_name = config::kArchBusNames[i];
     bus.bit_rate_bps = buses[i]->bit_rate();
     model.buses.push_back(std::move(bus));
   }
@@ -151,10 +148,12 @@ VehicleModel extract_model(const config::ScenarioSpec& spec) {
       out.routed = true;
       out.source_frame = i;
       // Translated wire ids may have been renumbered (arch.frame_id keys on
-      // the original id); invert the remap to recover the base identifier.
+      // the original id); invert the remap on the destination bus, where
+      // the new id is unique, to recover the base identifier.
       out.base_id = out.id;
       for (const config::FrameIdSpec& remap : spec.arch.frame_ids)
-        if (remap.new_id == out.id) out.base_id = remap.frame_id;
+        if (remap.new_id == out.id && spec.arch.bus_of(remap.frame_id) == out.bus)
+          out.base_id = remap.frame_id;
       model.frames.push_back(std::move(out));
     }
   }

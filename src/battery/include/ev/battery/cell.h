@@ -1,17 +1,14 @@
 /// \file cell.h
-/// Electro-thermal Li-Ion cell model: second-order Thevenin equivalent
-/// circuit (series resistance plus two RC polarization branches) around a
-/// piecewise-linear OCV(SoC) source, a lumped thermal node, and a simple
-/// stress-weighted capacity-fade (ageing) model.
+/// Parameters and safety flags of the electro-thermal Li-Ion cell model:
+/// second-order Thevenin equivalent circuit (series resistance plus two RC
+/// polarization branches) around a piecewise-linear OCV(SoC) source, a
+/// lumped thermal node, and a simple stress-weighted capacity-fade (ageing)
+/// model. CellBatch::step_all (cell_batch.h) integrates it.
 ///
 /// Sign convention throughout the battery and powertrain modules:
 /// **positive current discharges** the cell (current flows out of the
 /// positive terminal into the load); negative current charges it.
 #pragma once
-
-#include <memory>
-
-#include "ev/battery/ocv_curve.h"
 
 namespace ev::battery {
 
@@ -37,8 +34,8 @@ struct CellParameters {
   double fade_per_ah_throughput = 20e-3 / (3000.0 * 2 * 40.0) * 10.0;
 };
 
-/// Instantaneous cell condition flags raised by step(); the BMS safety
-/// monitor consumes these.
+/// Instantaneous cell condition flags raised by CellBatch::step_all(); the
+/// BMS safety monitor consumes these.
 struct CellStatus {
   bool overvoltage = false;
   bool undervoltage = false;
@@ -49,77 +46,6 @@ struct CellStatus {
   [[nodiscard]] bool any() const noexcept {
     return overvoltage || undervoltage || overtemperature || overcurrent || thermal_runaway;
   }
-};
-
-/// One Li-Ion cell. Continuous state is advanced by fixed-step explicit
-/// integration in step(); the step sizes used across evsys (10-100 ms) are
-/// far below the smallest RC time constant, keeping the explicit scheme
-/// stable and accurate.
-class Cell {
- public:
-  /// Creates a cell with the given parameters and chemistry at \p initial_soc
-  /// (clamped to [0,1]) and \p initial_temp_c.
-  Cell(CellParameters params, OcvCurve curve, double initial_soc = 0.5,
-       double initial_temp_c = 25.0);
-
-  /// Advances the model by \p dt_s seconds under \p current_a (positive =
-  /// discharge) with \p ambient_c ambient temperature, including \p
-  /// extra_heat_w of externally generated heat (e.g. a bleed resistor mounted
-  /// on the cell). Returns the safety status observed during the step.
-  CellStatus step(double current_a, double dt_s, double ambient_c = 25.0,
-                  double extra_heat_w = 0.0);
-
-  /// Transfers \p coulombs of charge directly into (+) or out of (-) the
-  /// cell without ohmic loss, used by the active-balancing hardware model
-  /// which accounts for converter efficiency itself.
-  void inject_charge(double coulombs) noexcept;
-
-  /// True state of charge in [0,1] (simulation ground truth; the BMS must
-  /// estimate it from sensors instead of reading this).
-  [[nodiscard]] double soc() const noexcept { return soc_; }
-  /// Terminal voltage under \p current_a load at the present state [V].
-  [[nodiscard]] double terminal_voltage(double current_a = 0.0) const noexcept;
-  /// Open-circuit voltage at the present SoC [V].
-  [[nodiscard]] double open_circuit_voltage() const noexcept;
-  /// Cell temperature [degC].
-  [[nodiscard]] double temperature_c() const noexcept { return temp_c_; }
-  /// Present (faded) capacity [Ah].
-  [[nodiscard]] double capacity_ah() const noexcept { return capacity_ah_; }
-  /// State of health: present capacity over nominal capacity, in (0,1].
-  [[nodiscard]] double state_of_health() const noexcept {
-    return capacity_ah_ / params_.capacity_ah;
-  }
-  /// Remaining charge [C].
-  [[nodiscard]] double charge_coulomb() const noexcept {
-    return soc_ * capacity_ah_ * 3600.0;
-  }
-  /// Polarization branch voltages [V] (state handed to CellBatch adoption).
-  [[nodiscard]] double v_rc1() const noexcept { return v_rc1_; }
-  [[nodiscard]] double v_rc2() const noexcept { return v_rc2_; }
-  /// Total absolute charge throughput so far [Ah].
-  [[nodiscard]] double throughput_ah() const noexcept { return throughput_ah_; }
-  /// Total ohmic + polarization energy dissipated in the cell so far [J].
-  [[nodiscard]] double dissipated_j() const noexcept { return dissipated_j_; }
-  /// Model parameters.
-  [[nodiscard]] const CellParameters& params() const noexcept { return params_; }
-  /// OCV characteristic.
-  [[nodiscard]] const OcvCurve& ocv_curve() const noexcept { return *curve_; }
-  /// Shared handle to the OCV characteristic (lets a CellBatch keep the
-  /// chemistry shared instead of copying the curve per cell).
-  [[nodiscard]] std::shared_ptr<const OcvCurve> shared_curve() const noexcept {
-    return curve_;
-  }
-
- private:
-  CellParameters params_;
-  std::shared_ptr<const OcvCurve> curve_;  // shared across the cells of a pack
-  double soc_;
-  double capacity_ah_;
-  double v_rc1_ = 0.0;  // polarization branch voltages [V]
-  double v_rc2_ = 0.0;
-  double temp_c_;
-  double throughput_ah_ = 0.0;
-  double dissipated_j_ = 0.0;
 };
 
 }  // namespace ev::battery

@@ -4,9 +4,8 @@
 /// that the module-management devices of the paper's Fig. 2 control.
 ///
 /// Cell state is stored structure-of-arrays (CellBatch) and advanced with one
-/// batched loop per step; cell(i) hands out lightweight views with the same
-/// read/inject API the per-object Cell model exposed, so BMS, sensor, and
-/// fault-injection call sites are unchanged.
+/// batched loop per step; cell(i) hands out lightweight views for the BMS,
+/// sensor, and fault-injection call sites.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +13,7 @@
 
 #include "ev/battery/cell.h"
 #include "ev/battery/cell_batch.h"
+#include "ev/battery/ocv_curve.h"
 
 namespace ev::battery {
 
@@ -35,9 +35,10 @@ struct BalancingHardware {
 /// models the electrical consequences of the actuator commands.
 class SeriesModule {
  public:
-  /// Builds a module from pre-constructed cells (at least one) and the given
-  /// balancing hardware. The cells are adopted into SoA batch storage.
-  SeriesModule(std::vector<Cell> cells, BalancingHardware hw = {});
+  /// Builds a module from \p cells (at least one) of chemistry \p curve and
+  /// the given balancing hardware. The cells are adopted into SoA batch
+  /// storage.
+  SeriesModule(const std::vector<CellInit>& cells, OcvCurve curve, BalancingHardware hw = {});
 
   /// Engages (true) or releases (false) the passive bleed switch on cell \p i.
   void set_bleed(std::size_t i, bool on);
@@ -73,8 +74,6 @@ class SeriesModule {
     check_index(i);
     return CellView{batch_, i};
   }
-  /// The underlying SoA cell storage.
-  [[nodiscard]] const CellBatch& cells() const noexcept { return batch_; }
   /// Lowest true SoC across cells.
   [[nodiscard]] double min_soc() const noexcept;
   /// Highest true SoC across cells.

@@ -1,33 +1,31 @@
 #include "ev/battery/cell_batch.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include "ev/util/math.h"
 
 namespace ev::battery {
 
-CellBatch::CellBatch(const std::vector<Cell>& cells) {
+CellBatch::CellBatch(const std::vector<CellInit>& cells, OcvCurve curve)
+    : curve_(std::move(curve)) {
+  if (cells.empty()) throw std::invalid_argument("CellBatch: need at least one cell");
   const std::size_t n = cells.size();
   soc_.reserve(n);
   capacity_ah_.reserve(n);
-  v_rc1_.reserve(n);
-  v_rc2_.reserve(n);
   temp_c_.reserve(n);
-  throughput_ah_.reserve(n);
-  dissipated_j_.reserve(n);
   params_.reserve(n);
-  curves_.reserve(n);
-  for (const Cell& c : cells) {
-    soc_.push_back(c.soc());
-    capacity_ah_.push_back(c.capacity_ah());
-    v_rc1_.push_back(c.v_rc1());
-    v_rc2_.push_back(c.v_rc2());
-    temp_c_.push_back(c.temperature_c());
-    throughput_ah_.push_back(c.throughput_ah());
-    dissipated_j_.push_back(c.dissipated_j());
-    params_.push_back(c.params());
-    curves_.push_back(c.shared_curve());
+  for (const CellInit& c : cells) {
+    soc_.push_back(util::clamp(c.soc, 0.0, 1.0));
+    capacity_ah_.push_back(c.params.capacity_ah);
+    temp_c_.push_back(c.temp_c);
+    params_.push_back(c.params);
   }
+  v_rc1_.assign(n, 0.0);
+  v_rc2_.assign(n, 0.0);
+  throughput_ah_.assign(n, 0.0);
+  dissipated_j_.assign(n, 0.0);
   a1_.resize(n);
   k1_.resize(n);
   a2_.resize(n);
@@ -35,8 +33,8 @@ CellBatch::CellBatch(const std::vector<Cell>& cells) {
 }
 
 void CellBatch::refresh_coefficients(double dt_s) {
-  // a = exp(-dt/tau) and k = r*(1-a) are exactly the factors Cell::step
-  // derives each call; dt is constant within a scenario, so this runs once.
+  // a = exp(-dt/tau) and k = r*(1-a) are the exact first-order update
+  // factors; dt is constant within a scenario, so this runs once.
   for (std::size_t i = 0; i < params_.size(); ++i) {
     const CellParameters& p = params_[i];
     const double tau1 = p.r1_ohm * p.c1_farad;
@@ -59,13 +57,13 @@ BatchStatus CellBatch::step_all(std::span<const double> current_a,
     const CellParameters& p = params_[i];
     const double amps = current_a[i];
 
-    // --- Coulomb dynamics (identical operation order to Cell::step) --------
-    const double dq = amps * dt_s;
+    // --- Coulomb dynamics ----------------------------------------------------
+    const double dq = amps * dt_s;  // coulombs removed (positive = discharge)
     const double cap_c = capacity_ah_[i] * 3600.0;
     soc_[i] = util::clamp(soc_[i] - dq / cap_c, 0.0, 1.0);
     throughput_ah_[i] += std::fabs(dq) / 3600.0;
 
-    // --- Polarization branches: v = a*v + (r*(1-a))*I, coefficients cached --
+    // --- Polarization branches (exact first-order update, cached factors) --
     v_rc1_[i] = a1_[i] * v_rc1_[i] + k1_[i] * amps;
     v_rc2_[i] = a2_[i] * v_rc2_[i] + k2_[i] * amps;
 
@@ -78,17 +76,17 @@ BatchStatus CellBatch::step_all(std::span<const double> current_a,
     const double p_cooling = (temp_c_[i] - ambient_c) / p.thermal_resistance_k_per_w;
     temp_c_[i] += (p_loss + extra_heat_w[i] - p_cooling) / p.thermal_capacity_j_per_k * dt_s;
 
-    // --- Ageing -------------------------------------------------------------
+    // --- Ageing: throughput fade, amplified at voltage/temperature extremes --
     double stress = 1.0;
-    if (soc_[i] > 0.9) stress += 2.0 * (soc_[i] - 0.9) * 10.0;
-    if (soc_[i] < 0.1) stress += 2.0 * (0.1 - soc_[i]) * 10.0;
-    if (temp_c_[i] > 40.0) stress += (temp_c_[i] - 40.0) / 10.0;
+    if (soc_[i] > 0.9) stress += 2.0 * (soc_[i] - 0.9) * 10.0;    // high-voltage stress
+    if (soc_[i] < 0.1) stress += 2.0 * (0.1 - soc_[i]) * 10.0;    // deep-discharge stress
+    if (temp_c_[i] > 40.0) stress += (temp_c_[i] - 40.0) / 10.0;  // Arrhenius-like
     capacity_ah_[i] -=
         p.capacity_ah * p.fade_per_ah_throughput * (std::fabs(dq) / 3600.0) * stress;
     capacity_ah_[i] = std::max(capacity_ah_[i], 0.5 * p.capacity_ah);
 
     // --- Safety envelope ----------------------------------------------------
-    const double v_term = terminal_voltage(i, amps);
+    const double v_term = CellConstView{*this, i}.terminal_voltage(amps);
     const bool overvoltage = v_term > p.max_voltage;
     const bool undervoltage = v_term < p.min_voltage;
     const bool overtemperature = temp_c_[i] > p.max_temperature_c;

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace ev::battery {
 
-SeriesModule::SeriesModule(std::vector<Cell> cells, BalancingHardware hw)
-    : batch_(cells), hw_(hw) {
-  if (cells.empty()) throw std::invalid_argument("SeriesModule: need at least one cell");
+SeriesModule::SeriesModule(const std::vector<CellInit>& cells, OcvCurve curve,
+                           BalancingHardware hw)
+    : batch_(cells, std::move(curve)), hw_(hw) {
   bleed_on_.assign(batch_.size(), false);
   scratch_current_.resize(batch_.size());
   scratch_heat_.resize(batch_.size());
@@ -41,10 +42,10 @@ ModuleStatus SeriesModule::step(double current_a, double dt_s, double ambient_c)
     transfer_out_c = hw_.transfer_current_a * dt_s;
     transfer_in_c = transfer_out_c * hw_.transfer_efficiency;
     // Source must actually hold the charge; clamp at empty.
-    transfer_out_c = std::min(transfer_out_c, batch_.charge_coulomb(transfer_from_));
+    const CellConstView source{batch_, transfer_from_};
+    transfer_out_c = std::min(transfer_out_c, source.charge_coulomb());
     transfer_in_c = transfer_out_c * hw_.transfer_efficiency;
-    transfer_loss_j_ += (transfer_out_c - transfer_in_c) *
-                        batch_.open_circuit_voltage(transfer_from_);
+    transfer_loss_j_ += (transfer_out_c - transfer_in_c) * source.open_circuit_voltage();
   }
 
   // Stage per-cell currents and bleed heat from pre-step state, then advance
@@ -56,7 +57,7 @@ ModuleStatus SeriesModule::step(double current_a, double dt_s, double ambient_c)
     double cell_current = current_a;
     double extra_heat_w = 0.0;
     if (bleed_on_[i]) {
-      const double v = batch_.terminal_voltage(i, current_a);
+      const double v = CellConstView{batch_, i}.terminal_voltage(current_a);
       const double i_bleed = std::max(v, 0.0) / hw_.bleed_resistor_ohm;
       cell_current += i_bleed;  // bleed adds discharge on this cell only
       const double p_bleed = i_bleed * i_bleed * hw_.bleed_resistor_ohm;
@@ -82,19 +83,21 @@ ModuleStatus SeriesModule::step(double current_a, double dt_s, double ambient_c)
 double SeriesModule::terminal_voltage(double current_a) const noexcept {
   double v = 0.0;
   for (std::size_t i = 0; i < batch_.size(); ++i)
-    v += batch_.terminal_voltage(i, current_a);
+    v += CellConstView{batch_, i}.terminal_voltage(current_a);
   return v;
 }
 
 double SeriesModule::min_soc() const noexcept {
-  double m = batch_.soc(0);
-  for (std::size_t i = 0; i < batch_.size(); ++i) m = std::min(m, batch_.soc(i));
+  double m = CellConstView{batch_, 0}.soc();
+  for (std::size_t i = 0; i < batch_.size(); ++i)
+    m = std::min(m, CellConstView{batch_, i}.soc());
   return m;
 }
 
 double SeriesModule::max_soc() const noexcept {
-  double m = batch_.soc(0);
-  for (std::size_t i = 0; i < batch_.size(); ++i) m = std::max(m, batch_.soc(i));
+  double m = CellConstView{batch_, 0}.soc();
+  for (std::size_t i = 0; i < batch_.size(); ++i)
+    m = std::max(m, CellConstView{batch_, i}.soc());
   return m;
 }
 

@@ -1,6 +1,7 @@
 #include "ev/battery/pack.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace ev::battery {
 
@@ -8,16 +9,16 @@ Pack::Pack(const PackConfig& config, util::Rng& rng) : rng_(&rng) {
   const OcvCurve curve = config.use_lfp_chemistry ? OcvCurve::lfp() : OcvCurve::nmc();
   modules_.reserve(config.module_count);
   for (std::size_t m = 0; m < config.module_count; ++m) {
-    std::vector<Cell> cells;
+    std::vector<CellInit> cells;
     cells.reserve(config.cells_per_module);
     for (std::size_t c = 0; c < config.cells_per_module; ++c) {
       CellParameters p = config.cell;
       p.capacity_ah *= 1.0 + rng.normal(0.0, config.capacity_spread_sigma);
       p.r0_ohm *= 1.0 + rng.normal(0.0, config.r0_spread_sigma);
       const double soc = config.initial_soc + rng.normal(0.0, config.soc_spread_sigma);
-      cells.emplace_back(p, curve, soc);
+      cells.push_back({p, soc});
     }
-    modules_.emplace_back(std::move(cells), config.balancing);
+    modules_.emplace_back(cells, curve, config.balancing);
   }
 }
 

@@ -7,13 +7,13 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "ev/campaign/worker_pool.h"
 #include "ev/core/scenario.h"
 #include "ev/core/subsystems.h"
 #include "ev/obs/export.h"
 #include "ev/util/crc.h"
 #include "ev/util/json.h"
 #include "ev/util/stats.h"
+#include "ev/util/worker_pool.h"
 
 namespace ev::campaign {
 namespace {
@@ -74,7 +74,7 @@ CampaignResult run_scenario_campaign(const config::ScenarioSpec& spec,
   // aggregate is a pure function of (spec, seeds) — never of the job count.
   std::vector<std::optional<Shard>> shards(
       static_cast<std::size_t>(options.seeds.count));
-  WorkerPool pool(resolve_jobs(options.jobs, options.seeds.count));
+  util::WorkerPool pool(util::resolve_jobs(options.jobs, options.seeds.count));
   pool.run(options.seeds.count, [&](int i) {
     shards[static_cast<std::size_t>(i)].emplace(run_one(spec, options.seeds.seed(i)));
   });

@@ -178,6 +178,12 @@ struct ArchSpec {
   /// Replace the partition window plan wholesale (order = window order).
   void set_partition_windows(std::vector<PartitionWindowSpec> windows);
 
+  /// Bus index (kArchBusNames order) that carries the frame originally
+  /// numbered `frame_id`: its frame_bus target, else its home bus. A wire
+  /// id is unique per bus, so this is the scope in which two frame_id
+  /// entries may not assign the same new_id.
+  [[nodiscard]] std::size_t bus_of(std::uint32_t frame_id) const;
+
   friend bool operator==(const ArchSpec&, const ArchSpec&) = default;
 };
 
@@ -187,6 +193,14 @@ inline constexpr const char* kArchBusNames[] = {
     "body_lin", "comfort_can", "infotainment_most", "safety_can",
     "chassis_flexray"};
 inline constexpr std::size_t kArchBusCount = 5;
+
+/// Index of \p bus in kArchBusNames, or kArchBusCount when it names no
+/// Fig. 1 bus.
+[[nodiscard]] std::size_t arch_bus_index(const std::string& bus);
+
+/// Home bus index of the frame originally numbered \p frame_id, by its
+/// Fig. 1 id block: where an empty ArchSpec places it.
+[[nodiscard]] std::size_t home_bus(std::uint32_t frame_id) noexcept;
 
 /// Which pluggable subsystems the composition root attaches.
 struct SubsystemsSpec {

@@ -85,12 +85,6 @@ std::uint32_t parse_frame_id(const std::string& s, const std::string& key) {
   return static_cast<std::uint32_t>(v);
 }
 
-bool known_bus_name(const std::string& bus) {
-  for (std::size_t i = 0; i < kArchBusCount; ++i)
-    if (bus == kArchBusNames[i]) return true;
-  return false;
-}
-
 // Inserts or replaces the entry for `frame_id` while keeping the list
 // sorted by frame id — the canonical form ArchSpec::validate() demands.
 template <typename Entry>
@@ -116,6 +110,26 @@ void erase_by_frame_id(std::vector<Entry>& entries, std::uint32_t frame_id) {
 }
 
 }  // namespace
+
+std::size_t arch_bus_index(const std::string& bus) {
+  std::size_t i = 0;
+  while (i < kArchBusCount && bus != kArchBusNames[i]) ++i;
+  return i;
+}
+
+std::size_t home_bus(std::uint32_t frame_id) noexcept {
+  if (frame_id >= 0x800) return 2;  // infotainment MOST
+  if (frame_id >= 0x300) return 1;  // comfort CAN
+  if (frame_id >= 0x200) return 3;  // safety CAN
+  if (frame_id >= 0x100) return 4;  // chassis FlexRay
+  return 0;                         // body LIN
+}
+
+std::size_t ArchSpec::bus_of(std::uint32_t frame_id) const {
+  for (const FrameBusSpec& e : frame_buses)
+    if (e.frame_id == frame_id) return arch_bus_index(e.bus);
+  return home_bus(frame_id);
+}
 
 void ArchSpec::set_frame_bus(std::uint32_t frame_id, const std::string& bus) {
   upsert_by_frame_id(frame_buses, frame_id).bus = bus;
@@ -251,7 +265,7 @@ void ScenarioSpec::validate() const {
     fail("scenario: timing.middleware_frame_us must be positive");
   for (std::size_t i = 0; i < arch.frame_buses.size(); ++i) {
     const FrameBusSpec& e = arch.frame_buses[i];
-    if (!known_bus_name(e.bus))
+    if (arch_bus_index(e.bus) == kArchBusCount)
       fail("scenario: arch.frame_bus." + std::to_string(i) + " names unknown bus '" +
            e.bus + "'");
     if (i > 0 && arch.frame_buses[i - 1].frame_id >= e.frame_id)
@@ -266,10 +280,11 @@ void ScenarioSpec::validate() const {
     if (i > 0 && arch.frame_ids[i - 1].frame_id >= e.frame_id)
       fail("scenario: arch.frame_id entries must be in strictly increasing "
            "frame-id order");
+    const std::size_t bus = arch.bus_of(e.frame_id);
     for (std::size_t j = 0; j < i; ++j)
-      if (arch.frame_ids[j].new_id == e.new_id)
+      if (arch.frame_ids[j].new_id == e.new_id && arch.bus_of(arch.frame_ids[j].frame_id) == bus)
         fail("scenario: arch.frame_id entries assign duplicate id " +
-             std::to_string(e.new_id));
+             std::to_string(e.new_id) + " on " + kArchBusNames[bus]);
   }
   for (std::size_t i = 0; i < arch.fr_slots.size(); ++i) {
     const FrSlotSpec& e = arch.fr_slots[i];

@@ -41,13 +41,8 @@ VehicleSystemConfig to_vehicle_config(const config::ScenarioSpec& spec) {
   cfg.network.can_bit_rate = spec.network.can_bit_rate;
   cfg.network.lin_bit_rate = spec.network.lin_bit_rate;
   cfg.network.flexray_bit_rate = spec.network.flexray_bit_rate;
-  for (const config::FrameBusSpec& e : spec.arch.frame_buses) {
-    std::size_t bus_index = 0;
-    while (bus_index < config::kArchBusCount &&
-           e.bus != config::kArchBusNames[bus_index])
-      ++bus_index;
-    cfg.network.arch.frame_buses.push_back({e.frame_id, bus_index});
-  }
+  for (const config::FrameBusSpec& e : spec.arch.frame_buses)
+    cfg.network.arch.frame_buses.push_back({e.frame_id, config::arch_bus_index(e.bus)});
   for (const config::FrameIdSpec& e : spec.arch.frame_ids)
     cfg.network.arch.frame_ids.push_back({e.frame_id, e.new_id});
   for (const config::FrSlotSpec& e : spec.arch.fr_slots)

@@ -49,9 +49,9 @@ struct DetectorConfig {
 [[nodiscard]] std::vector<Detection> detect_pedestrians_scalar(const Image& image,
                                                                const DetectorConfig& config);
 
-/// Data-parallel implementation: rows of windows are processed concurrently
-/// by \p workers threads (the accelerator model). Produces exactly the same
-/// detections as the scalar path.
+/// Data-parallel implementation: \p workers contiguous chunks of window rows
+/// are processed concurrently on a util::WorkerPool (the accelerator model).
+/// Produces exactly the same detections as the scalar path.
 [[nodiscard]] std::vector<Detection> detect_pedestrians_parallel(
     const Image& image, const DetectorConfig& config, std::size_t workers);
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
+
+#include "ev/util/worker_pool.h"
 
 namespace ev::ecu {
 
@@ -78,18 +79,16 @@ std::vector<Detection> detect_pedestrians_parallel(const Image& image,
       image.height >= config.window_h ? (image.height - config.window_h) / config.stride + 1
                                       : 0;
   const std::size_t chunk = (total_rows + workers - 1) / workers;
+  // One detection slot per chunk, concatenated in chunk order below.
   std::vector<std::vector<Detection>> partial(workers);
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t first_row = w * chunk;
+  const int chunks = static_cast<int>(workers);
+  util::WorkerPool pool(chunks);
+  pool.run(chunks, [&](int w) {
+    const std::size_t first_row = static_cast<std::size_t>(w) * chunk;
     const std::size_t last_row = std::min(total_rows, first_row + chunk);
-    threads.emplace_back([&, w, first_row, last_row] {
-      scan_rows(image, config, first_row * config.stride, last_row * config.stride,
-                &partial[w]);
-    });
-  }
-  for (auto& t : threads) t.join();
+    scan_rows(image, config, first_row * config.stride, last_row * config.stride,
+              &partial[static_cast<std::size_t>(w)]);
+  });
   std::vector<Detection> out;
   for (auto& p : partial) out.insert(out.end(), p.begin(), p.end());
   return out;

@@ -1,6 +1,6 @@
 /// \file simulation.h
 /// The fleet tick loop: binds the station population, the central system,
-/// the grid fault timeline, and the campaign worker pool into one
+/// the grid fault timeline, and util::WorkerPool into one
 /// deterministic run. Per tick: (1) grid state is read off the immutable
 /// fault timeline; (2) the central system rebalances when its cadence is due
 /// or the grid changed; (3) every station advances in parallel, each writing

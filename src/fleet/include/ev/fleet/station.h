@@ -9,7 +9,7 @@
 /// that loses its control plane degrades to a known-safe draw the central
 /// system can reserve for, instead of an unbounded one.
 ///
-/// advance() is called once per tick from the campaign worker pool and
+/// advance() is called once per tick from util::WorkerPool and
 /// touches only this station's state plus its private seeded RNG, which is
 /// what makes the per-tick station fan embarrassingly parallel and the run
 /// byte-identical for any worker count.

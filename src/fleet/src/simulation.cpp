@@ -9,12 +9,12 @@
 #include <sstream>
 #include <vector>
 
-#include "ev/campaign/worker_pool.h"
 #include "ev/config/scenario.h"  // format_double
 #include "ev/faults/grid_faults.h"
 #include "ev/util/crc.h"
 #include "ev/util/json.h"
 #include "ev/util/rng.h"
+#include "ev/util/worker_pool.h"
 
 namespace ev::fleet {
 namespace {
@@ -192,7 +192,7 @@ FleetResult run_fleet(const config::FleetSpec& spec, int jobs,
   if (result.ticks == 0) result.ticks = 1;
   result.min_headroom_kw = spec.grid_capacity_kw;
 
-  campaign::WorkerPool pool(jobs);
+  util::WorkerPool pool(jobs);
   std::vector<std::vector<Message>> outboxes(n);
   std::vector<bool> reachable(n, true);
   const int count = static_cast<int>(n);

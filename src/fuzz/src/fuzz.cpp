@@ -12,12 +12,12 @@
 #include "ev/analysis/analyzer.h"
 #include "ev/analysis/oracle.h"
 #include "ev/analysis/prob.h"
-#include "ev/campaign/worker_pool.h"
 #include "ev/core/scenario.h"
 #include "ev/core/subsystems.h"
 #include "ev/util/crc.h"
 #include "ev/util/json.h"
 #include "ev/util/rng.h"
+#include "ev/util/worker_pool.h"
 
 namespace ev::fuzz {
 namespace {
@@ -683,7 +683,7 @@ FuzzResult run_fuzz(const FuzzOptions& options) {
   // function of (seed, index), so the folded report is byte-identical for
   // any --jobs value.
   result.scenarios.resize(static_cast<std::size_t>(result.count));
-  campaign::WorkerPool pool(options.jobs);
+  util::WorkerPool pool(options.jobs);
   pool.run(result.count, [&](int index) {
     const ScenarioSpec spec = generator.scenario(index);
     ScenarioOutcome outcome = evaluate_scenario(spec, options.prob_send_s);

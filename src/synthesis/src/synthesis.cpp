@@ -9,11 +9,11 @@
 #include <stdexcept>
 
 #include "ev/analysis/model.h"
-#include "ev/campaign/worker_pool.h"
 #include "ev/network/can.h"
 #include "ev/util/json.h"
 #include "ev/util/math.h"
 #include "ev/util/rng.h"
+#include "ev/util/worker_pool.h"
 
 namespace ev::synthesis {
 namespace {
@@ -30,16 +30,6 @@ using analysis::VehicleModel;
 /// sits between the comfort (0x3xx) and MOST (0x8xx) id blocks and is never
 /// assigned by the topology or the synthesizer.
 constexpr std::uint32_t kTempIdBase = 0x700;
-
-/// Home bus of a frame by its Fig. 1 id block (the placement an empty
-/// ArchSpec produces).
-std::size_t default_bus_of(std::uint32_t base_id) {
-  if (base_id >= 0x800) return 2;                      // MOST
-  if (base_id >= 0x300) return 1;                      // comfort CAN
-  if (base_id >= 0x200) return 3;                      // safety CAN
-  if (base_id >= 0x100) return 4;                      // chassis FlexRay
-  return 0;                                            // body LIN
-}
 
 bool is_can(const VehicleModel& model, std::size_t bus) {
   return model.buses[bus].protocol == Protocol::kCan;
@@ -134,7 +124,7 @@ void apply_move(FitnessEvaluator& eval, config::ScenarioSpec* spec, const Move& 
       }
       eval.move_frame(move.frame, move.to_bus);
       if (spec != nullptr) {
-        if (move.to_bus == default_bus_of(base))
+        if (move.to_bus == config::home_bus(base))
           spec->arch.clear_frame_bus(base);
         else
           spec->arch.set_frame_bus(base, config::kArchBusNames[move.to_bus]);
@@ -252,7 +242,7 @@ Design repair(const config::ScenarioSpec& input) {
         }
         case BusIssueKind::kCanPayload:
         case BusIssueKind::kFrDynamicOverflow: {
-          const std::size_t home = default_bus_of(frame.base_id);
+          const std::size_t home = config::home_bus(frame.base_id);
           if (home == frame.bus) continue;  // already home; nothing to repair
           move.to_bus = home;
           break;
@@ -597,7 +587,7 @@ SynthesisResult synthesize(const config::ScenarioSpec& input,
   // All RNG draws happen here on the coordinator; workers only score copies
   // into per-index slots, so the result is byte-identical for any --jobs.
   util::Rng rng(options.seed);
-  campaign::WorkerPool pool(options.jobs);
+  util::WorkerPool pool(options.jobs);
   constexpr int kCandidatesPerRound = 8;
   double temperature = 1000.0;
   for (int round = 0; round < options.iters; ++round) {

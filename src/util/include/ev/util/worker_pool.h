@@ -1,6 +1,7 @@
 /// \file worker_pool.h
-/// The worker pool seed campaigns, the bench harness, synthesis candidates,
-/// fleet ticks and the fuzzer all run on. Threads stay parked on a condition
+/// The one worker pool of evsys: seed campaigns, the bench harness,
+/// synthesis candidates, fleet ticks, the fuzzer and the data-parallel
+/// pedestrian detector all run on it. Threads stay parked on a condition
 /// variable between rounds, so a tick loop that fans out thousands of times
 /// pays no spawn cost; a one-shot fan sizes the pool with
 /// resolve_jobs(jobs, count). Tasks are handed out through one atomic
@@ -22,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-namespace ev::campaign {
+namespace ev::util {
 
 /// Resolves a user-facing --jobs value: <= 0 means one job per hardware
 /// thread, and the result is clamped to [1, count] so a small fan never
@@ -143,4 +144,4 @@ class WorkerPool {
   std::exception_ptr error_ = nullptr;
 };
 
-}  // namespace ev::campaign
+}  // namespace ev::util

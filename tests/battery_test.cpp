@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ev/battery/cell.h"
+#include "ev/battery/cell_batch.h"
 #include "ev/battery/module.h"
 #include "ev/battery/ocv_curve.h"
 #include "ev/battery/pack.h"
@@ -71,98 +72,128 @@ CellParameters small_cell() {
   return p;
 }
 
+/// One NMC cell on the cell integrator: a 1-cell CellBatch stepped with a
+/// scalar current and heat, read through its view (`cell->soc()`).
+class OneCell {
+ public:
+  OneCell(CellParameters p, double soc, double temp_c = 25.0)
+      : batch_({{p, soc, temp_c}}, OcvCurve::nmc()) {}
+  OneCell(const OneCell&) = delete;
+  OneCell& operator=(const OneCell&) = delete;
+
+  CellStatus step(double current_a, double dt_s, double ambient_c = 25.0,
+                  double extra_heat_w = 0.0) {
+    const double current[] = {current_a};
+    const double heat[] = {extra_heat_w};
+    return batch_.step_all(current, heat, dt_s, ambient_c).worst;
+  }
+  CellView* operator->() { return &view_; }
+
+ private:
+  CellBatch batch_;
+  CellView view_{batch_, 0};
+};
+
 TEST(Cell, CoulombCountingDischarge) {
-  Cell cell(small_cell(), OcvCurve::nmc(), 1.0);
+  OneCell cell(small_cell(), 1.0);
   // 10 A for 1800 s = 5 Ah = half the capacity.
   for (int i = 0; i < 1800; ++i) (void)cell.step(10.0, 1.0);
-  EXPECT_NEAR(cell.soc(), 0.5, 0.01);
-  EXPECT_NEAR(cell.throughput_ah(), 5.0, 0.05);
+  EXPECT_NEAR(cell->soc(), 0.5, 0.01);
+  EXPECT_NEAR(cell->throughput_ah(), 5.0, 0.05);
 }
 
 TEST(Cell, ChargeRaisesSoc) {
-  Cell cell(small_cell(), OcvCurve::nmc(), 0.2);
+  OneCell cell(small_cell(), 0.2);
   for (int i = 0; i < 360; ++i) (void)cell.step(-10.0, 1.0);
-  EXPECT_NEAR(cell.soc(), 0.3, 0.01);
+  EXPECT_NEAR(cell->soc(), 0.3, 0.01);
 }
 
 TEST(Cell, TerminalVoltageDropsUnderLoad) {
-  Cell cell(small_cell(), OcvCurve::nmc(), 0.5);
-  const double open = cell.terminal_voltage(0.0);
-  const double loaded = cell.terminal_voltage(100.0);
+  OneCell cell(small_cell(), 0.5);
+  const double open = cell->terminal_voltage(0.0);
+  const double loaded = cell->terminal_voltage(100.0);
   EXPECT_GT(open, loaded);
-  EXPECT_NEAR(open - loaded, 100.0 * cell.params().r0_ohm, 1e-9);
+  EXPECT_NEAR(open - loaded, 100.0 * cell->params().r0_ohm, 1e-9);
 }
 
 TEST(Cell, PolarizationRelaxes) {
-  Cell cell(small_cell(), OcvCurve::nmc(), 0.5);
+  OneCell cell(small_cell(), 0.5);
   for (int i = 0; i < 120; ++i) (void)cell.step(50.0, 1.0);
-  const double sagged = cell.terminal_voltage(0.0);
+  const double sagged = cell->terminal_voltage(0.0);
   for (int i = 0; i < 600; ++i) (void)cell.step(0.0, 1.0);
-  const double rested = cell.terminal_voltage(0.0);
+  const double rested = cell->terminal_voltage(0.0);
   EXPECT_GT(rested, sagged);  // RC branches decay back toward OCV
-  EXPECT_NEAR(rested, cell.open_circuit_voltage(), 2e-3);
+  EXPECT_NEAR(rested, cell->open_circuit_voltage(), 2e-3);
 }
 
 TEST(Cell, HeatsUnderLoadAndCools) {
-  Cell cell(small_cell(), OcvCurve::nmc(), 0.8, 25.0);
+  OneCell cell(small_cell(), 0.8, 25.0);
   for (int i = 0; i < 600; ++i) (void)cell.step(200.0, 1.0, 25.0);
-  const double hot = cell.temperature_c();
+  const double hot = cell->temperature_c();
   EXPECT_GT(hot, 26.0);
   for (int i = 0; i < 3600; ++i) (void)cell.step(0.0, 1.0, 25.0);
-  EXPECT_LT(cell.temperature_c(), hot);
+  EXPECT_LT(cell->temperature_c(), hot);
 }
 
 TEST(Cell, ExtraHeatRaisesTemperature) {
-  Cell a(small_cell(), OcvCurve::nmc(), 0.5);
-  Cell b(small_cell(), OcvCurve::nmc(), 0.5);
+  OneCell a(small_cell(), 0.5);
+  OneCell b(small_cell(), 0.5);
   for (int i = 0; i < 600; ++i) {
     (void)a.step(0.0, 1.0, 25.0, 0.0);
     (void)b.step(0.0, 1.0, 25.0, 5.0);
   }
-  EXPECT_GT(b.temperature_c(), a.temperature_c() + 1.0);
+  EXPECT_GT(b->temperature_c(), a->temperature_c() + 1.0);
 }
 
 TEST(Cell, SafetyFlagsRaised) {
   CellParameters p = small_cell();
-  Cell cell(p, OcvCurve::nmc(), 0.01);
+  OneCell cell(p, 0.01);
   CellStatus st{};
   for (int i = 0; i < 600 && !st.undervoltage; ++i) st = cell.step(50.0, 1.0);
   EXPECT_TRUE(st.undervoltage);
 
-  Cell oc(p, OcvCurve::nmc(), 0.5);
+  OneCell oc(p, 0.5);
   EXPECT_TRUE(oc.step(p.max_discharge_current_a + 1.0, 0.1).overcurrent);
   EXPECT_TRUE(oc.step(-(p.max_charge_current_a + 1.0), 0.1).overcurrent);
 }
 
 TEST(Cell, AgeingReducesCapacity) {
-  Cell cell(small_cell(), OcvCurve::nmc(), 0.5);
-  const double fresh = cell.capacity_ah();
+  OneCell cell(small_cell(), 0.5);
+  const double fresh = cell->capacity_ah();
   // Heavy cycling.
   for (int cyc = 0; cyc < 50; ++cyc) {
     for (int i = 0; i < 360; ++i) (void)cell.step(20.0, 1.0);
     for (int i = 0; i < 360; ++i) (void)cell.step(-20.0, 1.0);
   }
-  EXPECT_LT(cell.capacity_ah(), fresh);
-  EXPECT_LT(cell.state_of_health(), 1.0);
-  EXPECT_GT(cell.state_of_health(), 0.5);  // fade model floor
+  EXPECT_LT(cell->capacity_ah(), fresh);
+  EXPECT_LT(cell->state_of_health(), 1.0);
+  EXPECT_GT(cell->state_of_health(), 0.5);  // fade model floor
 }
 
 TEST(Cell, InjectChargeBypassesLoss) {
-  Cell cell(small_cell(), OcvCurve::nmc(), 0.5);
-  cell.inject_charge(360.0);  // +0.1 Ah on a 10 Ah cell = +1% SoC
-  EXPECT_NEAR(cell.soc(), 0.51, 1e-6);
-  cell.inject_charge(-360.0);
-  EXPECT_NEAR(cell.soc(), 0.50, 1e-6);
+  OneCell cell(small_cell(), 0.5);
+  cell->inject_charge(360.0);  // +0.1 Ah on a 10 Ah cell = +1% SoC
+  EXPECT_NEAR(cell->soc(), 0.51, 1e-6);
+  cell->inject_charge(-360.0);
+  EXPECT_NEAR(cell->soc(), 0.50, 1e-6);
+}
+
+TEST(CellBatch, AdoptionClampsInitialSoc) {
+  const CellBatch batch({{small_cell(), -0.1}, {small_cell(), 1.2}, {small_cell(), 0.4}},
+                        OcvCurve::nmc());
+  EXPECT_EQ(CellConstView(batch, 0).soc(), 0.0);
+  EXPECT_EQ(CellConstView(batch, 1).soc(), 1.0);
+  EXPECT_EQ(CellConstView(batch, 2).soc(), 0.4);
 }
 
 // -------------------------------------------------------------- module ----
 
 SeriesModule make_module(std::size_t n, std::initializer_list<double> socs) {
-  std::vector<Cell> cells;
+  std::vector<CellInit> cells;
   auto it = socs.begin();
   for (std::size_t i = 0; i < n; ++i)
-    cells.emplace_back(small_cell(), OcvCurve::nmc(), it != socs.end() ? *it++ : 0.5);
-  return SeriesModule(std::move(cells));
+    cells.push_back({small_cell(), it != socs.end() ? *it++ : 0.5});
+  return SeriesModule(cells, OcvCurve::nmc());
 }
 
 TEST(SeriesModule, VoltageIsSumOfCells) {
@@ -212,7 +243,7 @@ TEST(SeriesModule, SocSpreadReflectsCells) {
 }
 
 TEST(SeriesModule, EmptyCellListRejected) {
-  EXPECT_THROW(SeriesModule(std::vector<Cell>{}), std::invalid_argument);
+  EXPECT_THROW(SeriesModule(std::vector<CellInit>{}, OcvCurve::nmc()), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- pack ----

@@ -73,11 +73,8 @@ CellParameters cell_params() {
 }
 
 SeriesModule unbalanced_module() {
-  std::vector<Cell> cells;
-  cells.emplace_back(cell_params(), OcvCurve::nmc(), 0.62);
-  cells.emplace_back(cell_params(), OcvCurve::nmc(), 0.55);
-  cells.emplace_back(cell_params(), OcvCurve::nmc(), 0.50);
-  return SeriesModule(std::move(cells));
+  return SeriesModule({{cell_params(), 0.62}, {cell_params(), 0.55}, {cell_params(), 0.50}},
+                      OcvCurve::nmc());
 }
 
 TEST(SocSpreadHelper, ComputesMaxMinusMin) {
@@ -398,10 +395,7 @@ TEST(BatteryManager, PassiveReachesPackWideTarget) {
 
 TEST(ModuleManager, MeasuresThroughSensors) {
   ev::util::Rng rng(29);
-  std::vector<Cell> cells;
-  cells.emplace_back(cell_params(), OcvCurve::nmc(), 0.6);
-  cells.emplace_back(cell_params(), OcvCurve::nmc(), 0.6);
-  SeriesModule module(std::move(cells));
+  SeriesModule module({{cell_params(), 0.6}, {cell_params(), 0.6}}, OcvCurve::nmc());
   auto curve = std::make_shared<const OcvCurve>(OcvCurve::nmc());
   ModuleManager mm(2, 10.0, 0.6, EstimatorKind::kVoltageCorrected, curve, 0.0015,
                    std::make_unique<PassiveBalancer>());

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "ev/campaign/campaign.h"
-#include "ev/campaign/worker_pool.h"
 #include "ev/config/scenario.h"
+#include "ev/util/worker_pool.h"
 
 namespace {
 
@@ -24,7 +24,7 @@ using ev::campaign::SeedPlan;
 
 // A one-shot fan the way the campaign runner and the bench harness size it.
 void run_fan(int count, int jobs, const std::function<void(int)>& fn) {
-  ev::campaign::WorkerPool pool(ev::campaign::resolve_jobs(jobs, count));
+  ev::util::WorkerPool pool(ev::util::resolve_jobs(jobs, count));
   pool.run(count, fn);
 }
 
@@ -58,10 +58,10 @@ TEST(ParallelFor, PropagatesTheFirstException) {
 }
 
 TEST(ResolveJobs, ClampsToTaskCount) {
-  EXPECT_EQ(ev::campaign::resolve_jobs(4, 2), 2);
-  EXPECT_EQ(ev::campaign::resolve_jobs(1, 100), 1);
-  EXPECT_GE(ev::campaign::resolve_jobs(0, 100), 1);  // hardware concurrency
-  EXPECT_EQ(ev::campaign::resolve_jobs(-3, 100), ev::campaign::resolve_jobs(0, 100));
+  EXPECT_EQ(ev::util::resolve_jobs(4, 2), 2);
+  EXPECT_EQ(ev::util::resolve_jobs(1, 100), 1);
+  EXPECT_GE(ev::util::resolve_jobs(0, 100), 1);  // hardware concurrency
+  EXPECT_EQ(ev::util::resolve_jobs(-3, 100), ev::util::resolve_jobs(0, 100));
 }
 
 // ------------------------------------------------------------ seed plan ----

@@ -6,6 +6,8 @@
 #   malformed or out-of-range numeric flag -> exit 2, stderr names the flag
 #   bms.stuck_voltage cell outside the pack -> `check` exit 1, `run` fails
 #                                              before simulating, naming it
+#   report lost to a full device (/dev/full as --out or stdout)
+#                          -> exit 1 on every verb, stderr says "cannot write"
 # Expects -DEVSYS=<path to the evsys binary>, -DSOURCE_DIR=<repo root> and
 # -DWORK_DIR=<scratch directory>.
 if(NOT DEFINED EVSYS OR NOT DEFINED SOURCE_DIR OR NOT DEFINED WORK_DIR)
@@ -125,3 +127,38 @@ if(NOT code EQUAL 1 OR NOT err MATCHES "sensor fault targets cell '-1' outside t
   message(FATAL_ERROR "run on cell -1: expected exit 1 naming the target, got ${code}:\n${err}")
 endif()
 message(STATUS "run rejects the stuck-voltage cell check rejects, before simulating")
+
+# Every verb writes its report through one checked writer: a report lost to
+# a full device fails the verb instead of exiting 0.
+if(EXISTS /dev/full)
+  set(fleet "${SOURCE_DIR}/examples/scenarios/depot_fleet.fleet")
+  function(expect_write_error)
+    cmake_parse_arguments(ARG "" "STDOUT" "COMMAND" ${ARGN})
+    if(ARG_STDOUT)
+      set(sink OUTPUT_FILE "${ARG_STDOUT}")
+    else()
+      set(sink OUTPUT_QUIET)
+    endif()
+    execute_process(
+      COMMAND "${EVSYS}" ${ARG_COMMAND}
+      RESULT_VARIABLE code
+      ERROR_VARIABLE err
+      ${sink})
+    if(NOT code EQUAL 1 OR NOT err MATCHES "cannot write")
+      message(FATAL_ERROR "'${ARG_COMMAND}' into /dev/full: expected exit 1 saying "
+                          "'cannot write', got ${code}:\n${err}")
+    endif()
+  endfunction()
+  expect_write_error(COMMAND run "${limp}" --out /dev/full)
+  expect_write_error(COMMAND campaign "${limp}" --seeds 1 --out /dev/full)
+  expect_write_error(COMMAND check "${limp}" --out /dev/full)
+  expect_write_error(COMMAND fleet "${fleet}" --out /dev/full)
+  expect_write_error(COMMAND synthesize "${limp}" --iters 0 --out /dev/full)
+  expect_write_error(COMMAND synthesize "${limp}" --iters 0 --report /dev/full)
+  expect_write_error(COMMAND fuzz --count 1 --out /dev/full)
+  expect_write_error(COMMAND check "${limp}" STDOUT /dev/full)
+  expect_write_error(COMMAND print "${limp}" STDOUT /dev/full)
+  expect_write_error(COMMAND template STDOUT /dev/full)
+  expect_write_error(COMMAND template fleet STDOUT /dev/full)
+  message(STATUS "a report lost to /dev/full exits 1 on every verb")
+endif()

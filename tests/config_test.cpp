@@ -187,6 +187,20 @@ TEST(ScenarioArch, ValidateRejectsIllFormedOverrides) {
   EXPECT_THROW(repeated_partition.validate(), std::invalid_argument);
 }
 
+TEST(ScenarioArch, WireIdsAreUniquePerBus) {
+  ScenarioSpec two_buses;  // comfort 0x300 and safety 0x201 share 0x310
+  two_buses.arch.set_frame_id(0x300, 0x310);
+  two_buses.arch.set_frame_id(0x201, 0x310);
+  EXPECT_EQ(two_buses.arch.bus_of(0x300), 1u);
+  EXPECT_EQ(two_buses.arch.bus_of(0x201), 3u);
+  EXPECT_NO_THROW(two_buses.validate());
+
+  ScenarioSpec moved_together = two_buses;  // 0x201 now also on comfort CAN
+  moved_together.arch.set_frame_bus(0x201, "comfort_can");
+  EXPECT_EQ(moved_together.arch.bus_of(0x201), 1u);
+  EXPECT_THROW(moved_together.validate(), std::invalid_argument);
+}
+
 TEST(ScenarioArch, ArchLinesParseBackFromText) {
   const ScenarioSpec spec = ScenarioSpec::from_text(
       "scenario.name = archy\n"

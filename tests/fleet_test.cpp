@@ -12,13 +12,13 @@
 #include <string>
 #include <vector>
 
-#include "ev/campaign/worker_pool.h"
 #include "ev/config/fleet.h"
 #include "ev/fleet/central.h"
 #include "ev/fleet/retry.h"
 #include "ev/fleet/simulation.h"
 #include "ev/fleet/station.h"
 #include "ev/util/rng.h"
+#include "ev/util/worker_pool.h"
 
 namespace {
 
@@ -441,7 +441,7 @@ TEST(FleetRun, MetricsRegistryMatchesReport) {
 // --- WorkerPool -------------------------------------------------------------
 
 TEST(WorkerPool, RunsEveryIndexAcrossRounds) {
-  ev::campaign::WorkerPool pool(4);
+  ev::util::WorkerPool pool(4);
   for (int round = 0; round < 50; ++round) {
     std::vector<int> hits(64, 0);
     pool.run(64, [&](int i) { hits[static_cast<std::size_t>(i)] += 1; });
@@ -451,7 +451,7 @@ TEST(WorkerPool, RunsEveryIndexAcrossRounds) {
 }
 
 TEST(WorkerPool, SingleJobRunsInline) {
-  ev::campaign::WorkerPool pool(1);
+  ev::util::WorkerPool pool(1);
   EXPECT_EQ(pool.jobs(), 1);
   std::vector<int> order;
   pool.run(8, [&](int i) { order.push_back(i); });
@@ -459,7 +459,7 @@ TEST(WorkerPool, SingleJobRunsInline) {
 }
 
 TEST(WorkerPool, RethrowsTaskException) {
-  ev::campaign::WorkerPool pool(3);
+  ev::util::WorkerPool pool(3);
   EXPECT_THROW(
       pool.run(16,
                [&](int i) {

@@ -125,6 +125,25 @@ TEST(Synthesize, SeedLadderAllFeasible) {
   }
 }
 
+// Seed 67 swaps a safety-CAN frame onto wire id 0x302 while a body frame
+// moved to comfort CAN already holds 0x302 there: two frame_id entries
+// share a new id on different buses, which is legal because wire ids are
+// unique per bus. The emitted spec must validate and round-trip.
+TEST(Synthesize, SameWireIdOnTwoBusesIsAValidDesign) {
+  const SynthesisResult result = synthesize(overloaded_spec(), quick_options(67, 100));
+  EXPECT_TRUE(result.feasible);
+  EXPECT_NO_THROW(result.spec.validate());
+  EXPECT_EQ(ev::config::ScenarioSpec::from_text(result.spec.to_text()), result.spec);
+
+  std::map<std::uint32_t, std::set<std::size_t>> buses_by_new_id;
+  for (const ev::config::FrameIdSpec& e : result.spec.arch.frame_ids)
+    EXPECT_TRUE(buses_by_new_id[e.new_id].insert(result.spec.arch.bus_of(e.frame_id)).second)
+        << "id " << e.new_id << " assigned twice on one bus";
+  EXPECT_TRUE(std::any_of(buses_by_new_id.begin(), buses_by_new_id.end(),
+                          [](const auto& entry) { return entry.second.size() > 1; }))
+      << "seed 67 no longer reuses a wire id across buses";
+}
+
 // ------------------------------------------------------------ pareto --------
 
 TEST(Synthesize, ParetoArchiveIsNonDominatedAndSlackSorted) {

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -75,6 +76,29 @@ int int_flag(char** argv, int i) {
     throw FlagError(std::string(argv[i - 1]) + " expects a 32-bit integer, got '" +
                     argv[i] + "'");
   return static_cast<int>(*v);
+}
+
+/// Writes one report through \p write to \p path, or to stdout when \p path
+/// is empty, then flushes and checks the stream. A file that cannot be
+/// opened or a lost byte (a full disk, stdout on /dev/full) is reported on
+/// stderr and returns false; every verb then exits 1.
+bool write_output(const std::string& path, const std::function<void(std::ostream&)>& write) {
+  if (path.empty()) {
+    write(std::cout);
+    if (std::cout.flush()) return true;
+    std::fprintf(stderr, "evsys: cannot write to stdout\n");
+    return false;
+  }
+  std::ofstream out(path);
+  if (out) write(out);
+  if (out.flush()) return true;
+  std::fprintf(stderr, "evsys: cannot write '%s'\n", path.c_str());
+  return false;
+}
+
+/// write_output for a report that is already rendered as text.
+bool write_text(const std::string& path, const std::string& text) {
+  return write_output(path, [&text](std::ostream& out) { out << text; });
 }
 
 int usage(const char* argv0) {
@@ -166,17 +190,10 @@ int cmd_campaign(const std::string& path, const ev::campaign::CampaignOptions& o
                static_cast<unsigned long long>(result.seeds.first),
                static_cast<unsigned long long>(result.seeds.stride));
 
-  if (out_path.empty()) {
-    ev::campaign::write_campaign_json(result, std::cout);
-    return 0;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "evsys: cannot write '%s'\n", out_path.c_str());
-    return 1;
-  }
-  ev::campaign::write_campaign_json(result, out);
-  return out ? 0 : 1;
+  const bool written = write_output(out_path, [&result](std::ostream& out) {
+    ev::campaign::write_campaign_json(result, out);
+  });
+  return written ? 0 : 1;
 }
 
 int cmd_check(const std::string& path, bool probabilistic,
@@ -186,17 +203,10 @@ int cmd_check(const std::string& path, bool probabilistic,
       probabilistic ? ev::analysis::analyze_probabilistic_scenario(spec)
                     : ev::analysis::analyze_scenario(spec);
 
-  if (out_path.empty()) {
-    ev::analysis::write_report_json(report, std::cout);
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "evsys: cannot write '%s'\n", out_path.c_str());
-      return 1;
-    }
-    ev::analysis::write_report_json(report, out);
-    if (!out) return 1;
-  }
+  if (!write_output(out_path, [&report](std::ostream& out) {
+        ev::analysis::write_report_json(report, out);
+      }))
+    return 1;
 
   std::fprintf(stderr, "evsys check: %s — %zu error(s), %zu warning(s), %zu bound(s)\n",
                report.scenario.c_str(),
@@ -230,17 +240,10 @@ int cmd_run(const std::string& path, const std::string& out_path,
     }
   }
 
-  if (out_path.empty()) {
-    ev::core::write_result_json(result, std::cout);
-    return 0;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "evsys: cannot write '%s'\n", out_path.c_str());
-    return 1;
-  }
-  ev::core::write_result_json(result, out);
-  return out ? 0 : 1;
+  const bool written = write_output(out_path, [&result](std::ostream& out) {
+    ev::core::write_result_json(result, out);
+  });
+  return written ? 0 : 1;
 }
 
 int cmd_fleet(const std::string& path, int jobs, const std::string& out_path,
@@ -269,17 +272,10 @@ int cmd_fleet(const std::string& path, int jobs, const std::string& out_path,
     }
   }
 
-  if (out_path.empty()) {
-    ev::fleet::write_fleet_json(result, std::cout);
-    return 0;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "evsys: cannot write '%s'\n", out_path.c_str());
-    return 1;
-  }
-  ev::fleet::write_fleet_json(result, out);
-  return out ? 0 : 1;
+  const bool written = write_output(out_path, [&result](std::ostream& out) {
+    ev::fleet::write_fleet_json(result, out);
+  });
+  return written ? 0 : 1;
 }
 
 int cmd_synthesize(const std::string& path, const ev::synthesis::SynthesisOptions& options,
@@ -296,44 +292,17 @@ int cmd_synthesize(const std::string& path, const ev::synthesis::SynthesisOption
                static_cast<unsigned long long>(result.moves_accepted),
                result.pareto.size());
 
-  if (!report_path.empty()) {
-    std::ofstream report(report_path);
-    if (!report) {
-      std::fprintf(stderr, "evsys: cannot write '%s'\n", report_path.c_str());
-      return 1;
-    }
-    ev::synthesis::write_synthesis_json(result, report);
-    if (!report) return 1;
-  }
-
-  const std::string text = result.spec.to_text();
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "evsys: cannot write '%s'\n", out_path.c_str());
-      return 1;
-    }
-    out << text;
-    if (!out) return 1;
-  }
+  if (!report_path.empty() && !write_output(report_path, [&result](std::ostream& out) {
+        ev::synthesis::write_synthesis_json(result, out);
+      }))
+    return 1;
+  if (!write_text(out_path, result.spec.to_text())) return 1;
   return result.feasible ? 0 : 1;
 }
 
 int cmd_fuzz(const ev::fuzz::FuzzOptions& options, const std::string& out_path) {
   const ev::fuzz::FuzzResult result = ev::fuzz::run_fuzz(options);
-  const std::string json = ev::fuzz::fuzz_json(result);
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "evsys: cannot write '%s'\n", out_path.c_str());
-      return 1;
-    }
-    out << json;
-  }
+  if (!write_text(out_path, ev::fuzz::fuzz_json(result))) return 1;
   std::size_t rejected = 0, simulated = 0;
   for (const ev::fuzz::ScenarioOutcome& outcome : result.scenarios) {
     if (outcome.verdict == ev::fuzz::Verdict::kRejected) ++rejected;
@@ -356,13 +325,7 @@ int cmd_fuzz(const ev::fuzz::FuzzOptions& options, const std::string& out_path) 
 
 int cmd_print(const std::string& path) {
   const ev::config::ScenarioSpec spec = ev::config::load_scenario_file(path);
-  std::fputs(spec.to_text().c_str(), stdout);
-  return 0;
-}
-
-int cmd_template() {
-  std::fputs(ev::config::ScenarioSpec{}.to_text().c_str(), stdout);
-  return 0;
+  return write_text("", spec.to_text()) ? 0 : 1;
 }
 
 }  // namespace
@@ -372,16 +335,14 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   try {
     if (command == "template") {
-      if (argc >= 3 && std::strcmp(argv[2], "fleet") == 0) {
-        std::fputs(ev::config::FleetSpec{}.to_text().c_str(), stdout);
-        return 0;
-      }
+      if (argc >= 3 && std::strcmp(argv[2], "fleet") == 0)
+        return write_text("", ev::config::FleetSpec{}.to_text()) ? 0 : 1;
       if (argc >= 3 && std::strcmp(argv[2], "scenario") != 0) {
         std::fprintf(stderr, "evsys: unknown template kind '%s' (valid: %s)\n",
                      argv[2], join_names(kTemplateKinds).c_str());
         return 2;
       }
-      return cmd_template();
+      return write_text("", ev::config::ScenarioSpec{}.to_text()) ? 0 : 1;
     }
     if (command == "fleet") {
       if (argc < 3) return usage(argv[0]);
