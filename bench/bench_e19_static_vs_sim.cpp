@@ -47,7 +47,7 @@ std::vector<ev::analysis::BoundCheck> cross_validate(std::uint64_t seed) {
   const Report report = ev::analysis::analyze(model);
   std::unique_ptr<ev::core::VehicleSystem> vehicle;
   (void)ev::core::run_scenario(spec, &vehicle);
-  return ev::analysis::bound_checks(model, report, *vehicle, spec.faults);
+  return ev::analysis::bound_checks(model, report, *vehicle);
 }
 
 int run_experiment() {

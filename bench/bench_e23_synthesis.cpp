@@ -208,7 +208,7 @@ LadderRow validate_synthesized(std::uint64_t seed) {
   std::unique_ptr<ev::core::VehicleSystem> vehicle;
   (void)ev::core::run_scenario(synthesized.spec, &vehicle);
   for (const ev::analysis::BoundCheck& check :
-       ev::analysis::bound_checks(model, report, *vehicle, synthesized.spec.faults)) {
+       ev::analysis::bound_checks(model, report, *vehicle)) {
     ++row.comparisons;
     row.min_margin_us = std::min(row.min_margin_us, check.bound_us - check.observed_us);
     if (!check.sound()) ++row.bound_violations;

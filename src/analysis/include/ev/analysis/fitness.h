@@ -17,6 +17,7 @@
 
 #include "ev/analysis/diagnostics.h"
 #include "ev/analysis/model.h"
+#include "ev/network/can.h"
 #include "ev/scheduling/response_time.h"
 
 namespace ev::analysis {
@@ -68,20 +69,6 @@ struct EcuOutcome {
   friend bool operator==(const EcuOutcome&, const EcuOutcome&) = default;
 };
 
-/// Per-bus stochastic error model of the probabilistic timing pass (E24),
-/// derived from the scenario's bus.error_rate / bus.error_prob fault specs
-/// (prob.h::derive_error_models). Both channels may be active at once; an
-/// all-zero model is "unarmed" and the pass emits nothing for the bus.
-struct BusErrorModel {
-  double poisson_rate_per_s = 0.0;  ///< Summed Poisson error rate [1/s].
-  double per_attempt_prob = 0.0;    ///< Composed per-attempt probability.
-
-  [[nodiscard]] bool armed() const noexcept {
-    return poisson_rate_per_s > 0.0 || per_attempt_prob > 0.0;
-  }
-  friend bool operator==(const BusErrorModel&, const BusErrorModel&) = default;
-};
-
 /// Probabilistic deadline-miss figures of one CAN frame: the Broster-style
 /// R(k) ladder collapsed to the largest tolerable error count and the
 /// resulting P(response > period) upper bound (see prob.h).
@@ -100,7 +87,7 @@ struct FrameMissBound {
 /// which is what keeps the zero-error-rate report byte-identical to the
 /// deterministic pass.
 struct ProbOutcome {
-  BusErrorModel model;
+  network::CanErrorModel model;  ///< derive_error_models; all-zero is unarmed.
   std::vector<FrameMissBound> frames;
 
   friend bool operator==(const ProbOutcome&, const ProbOutcome&) = default;
@@ -179,7 +166,8 @@ class FitnessEvaluator {
   }
   /// Per-bus error models the probabilistic pass evaluates against (empty
   /// unless set_probabilistic(true)).
-  [[nodiscard]] const std::vector<BusErrorModel>& error_models() const noexcept {
+  [[nodiscard]] const std::vector<network::CanErrorModel>& error_models()
+      const noexcept {
     return error_models_;
   }
 
@@ -215,7 +203,7 @@ class FitnessEvaluator {
   std::vector<FrameBound> bounds_;
   std::vector<BusOutcome> bus_outcomes_;
   std::vector<ProbOutcome> prob_outcomes_;
-  std::vector<BusErrorModel> error_models_;
+  std::vector<network::CanErrorModel> error_models_;
   EcuOutcome ecu_;
   std::vector<Diagnostic> wiring_;
   Fitness fitness_;

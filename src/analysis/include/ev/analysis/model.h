@@ -14,6 +14,7 @@
 
 #include "ev/config/scenario.h"
 #include "ev/core/app_model.h"
+#include "ev/core/fault_targets.h"
 
 namespace ev::analysis {
 
@@ -87,10 +88,12 @@ struct VehicleModel {
   std::vector<FrameModel> frames;  ///< Local sources first, routed appended.
   std::vector<RouteModel> routes;
   double gateway_delay_s = 0.0;
-  std::size_t cell_count = 0;  ///< Pack cells (fault-target validation).
+  std::size_t cell_count = 0;  ///< Pack cells.
   bool health_enabled = false;
   bool security_enabled = false;
-  std::vector<config::FaultEventSpec> fault_events;
+  /// The spec's fault events with their targets resolved — the plan
+  /// build_vehicle() injects.
+  std::vector<core::PlannedFault> faults;
 };
 
 /// Extracts the model for \p spec (which must validate()). Builds the real

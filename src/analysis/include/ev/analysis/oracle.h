@@ -46,14 +46,14 @@ struct BoundCheck {
 /// Routed frames keep their origin timestamp, so a destination bus's
 /// latency histogram carries the full multi-hop latency rta.bus covers.
 ///
-/// The deterministic bounds make no claim under faults, so surfaces a
-/// declared fault can perturb are left out: a faulted bus and every bus it
+/// The deterministic bounds make no claim under faults, so surfaces a fault
+/// of model.faults can perturb are left out: a faulted bus and every bus it
 /// routes into, transitively; the pub/sub pair under any partition fault;
 /// the gateway pair under any bus fault. Bounds whose histogram never fired
 /// are skipped; a vehicle without the obs subsystem yields no pairs.
-[[nodiscard]] std::vector<BoundCheck> bound_checks(
-    const VehicleModel& model, const Report& report, core::VehicleSystem& vehicle,
-    const std::vector<config::FaultEventSpec>& faults);
+[[nodiscard]] std::vector<BoundCheck> bound_checks(const VehicleModel& model,
+                                                   const Report& report,
+                                                   core::VehicleSystem& vehicle);
 
 /// Per-frame tally of one testbed run.
 struct FrameTally {
@@ -73,11 +73,9 @@ struct FrameTally {
 /// and the bus index, destroys transmissions; the backlog drains for
 /// \p drain_s more. Deliveries later than one period count as misses. A
 /// pure function of its arguments (private simulator), safe on any worker.
-[[nodiscard]] std::vector<FrameTally> run_prob_testbed(const VehicleModel& model,
-                                                       std::size_t bus,
-                                                       const BusErrorModel& error_model,
-                                                       std::uint64_t seed, double send_s,
-                                                       double drain_s);
+[[nodiscard]] std::vector<FrameTally> run_prob_testbed(
+    const VehicleModel& model, std::size_t bus, const network::CanErrorModel& error_model,
+    std::uint64_t seed, double send_s, double drain_s);
 
 /// Two-sided Hoeffding slack on a frequency observed over \p n samples,
 /// failure mass 1e-9 per comparison: an observation beyond analytic +

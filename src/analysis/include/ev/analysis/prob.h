@@ -59,13 +59,15 @@ namespace ev::analysis {
 
 // --- error-model derivation -------------------------------------------------
 
-/// Per-bus error models from the model's fault events, indexed like
-/// VehicleModel::buses: every bus.error_rate spec adds its rate (independent
-/// Poisson processes superpose), every bus.error_prob spec composes its
-/// probability (1 - prod(1 - p_i)). Injection times are ignored — the
-/// analysis assumes the model active for the whole mission, the worst case.
-/// Unknown targets are skipped here; the wiring pass reports them.
-[[nodiscard]] std::vector<BusErrorModel> derive_error_models(const VehicleModel& model);
+/// Per-bus error models from the model's fault plan, indexed like
+/// VehicleModel::buses: every bus.error_rate / bus.error_prob event folded
+/// in by core::merge_error_event, the rule the simulator arms with (rates
+/// superpose, probabilities compose as 1 - prod(1 - p_i)). Injection times
+/// are ignored — the analysis assumes the model active for the whole
+/// mission, the worst case. Events whose target did not resolve are
+/// skipped; the wiring pass reports them. All-zero models are unarmed.
+[[nodiscard]] std::vector<network::CanErrorModel> derive_error_models(
+    const VehicleModel& model);
 
 // --- the analyzer -----------------------------------------------------------
 
@@ -84,7 +86,8 @@ class ProbabilisticCanAnalyzer {
   [[nodiscard]] const ProbOutcome& bus_outcome(std::size_t bus);
 
   /// The per-bus error models derived from the scenario fault plan.
-  [[nodiscard]] const std::vector<BusErrorModel>& error_models() const noexcept {
+  [[nodiscard]] const std::vector<network::CanErrorModel>& error_models()
+      const noexcept {
     return evaluator_.error_models();
   }
 

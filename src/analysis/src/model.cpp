@@ -32,9 +32,10 @@ VehicleModel extract_model(const config::ScenarioSpec& spec) {
   model.app = core::cockpit_app_model(config, spec.subsystems.health);
   model.health_enabled = spec.subsystems.health;
   model.security_enabled = spec.subsystems.security;
-  model.fault_events = spec.faults;
   model.cell_count = static_cast<std::size_t>(spec.pack.module_count) *
                      static_cast<std::size_t>(spec.pack.cells_per_module);
+  model.faults =
+      core::resolve_fault_targets(spec.faults, model.app.partitions, model.cell_count);
 
   // The topology builder wires buses, schedule tables, routes, and sources in
   // its constructor; without start() no event is ever scheduled — this is a

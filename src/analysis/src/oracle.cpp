@@ -14,32 +14,9 @@
 #include "ev/util/stats.h"
 
 namespace ev::analysis {
-namespace {
-
-bool is_bus_fault(config::FaultKind kind) {
-  switch (kind) {
-    case config::FaultKind::kBusDrop:
-    case config::FaultKind::kBusCorrupt:
-    case config::FaultKind::kBusOff:
-    case config::FaultKind::kBusBabble:
-    case config::FaultKind::kBusErrorRate:
-    case config::FaultKind::kBusErrorProb:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_partition_fault(config::FaultKind kind) {
-  return kind == config::FaultKind::kPartitionCrash ||
-         kind == config::FaultKind::kPartitionHang;
-}
-
-}  // namespace
 
 std::vector<BoundCheck> bound_checks(const VehicleModel& model, const Report& report,
-                                     core::VehicleSystem& vehicle,
-                                     const std::vector<config::FaultEventSpec>& faults) {
+                                     core::VehicleSystem& vehicle) {
   std::vector<BoundCheck> checks;
   auto* obs = vehicle.find_subsystem<core::ObservabilitySubsystem>();
   if (obs == nullptr) return checks;
@@ -48,12 +25,13 @@ std::vector<BoundCheck> bound_checks(const VehicleModel& model, const Report& re
   bool any_bus_fault = false;
   bool any_partition_fault = false;
   std::set<std::size_t> excluded;
-  for (const config::FaultEventSpec& fault : faults) {
-    if (is_partition_fault(fault.kind)) any_partition_fault = true;
-    if (!is_bus_fault(fault.kind)) continue;
+  for (const core::PlannedFault& fault : model.faults) {
+    const core::FaultTargetKind target = core::fault_target_kind(fault.event.kind);
+    if (target == core::FaultTargetKind::kPartition) any_partition_fault = true;
+    if (target != core::FaultTargetKind::kBus && target != core::FaultTargetKind::kCanBus)
+      continue;
     any_bus_fault = true;
-    for (std::size_t b = 0; b < model.buses.size(); ++b)
-      if (model.buses[b].scenario_name == fault.target) excluded.insert(b);
+    if (!fault.error) excluded.insert(fault.index);
   }
   // A faulted bus perturbs every bus it routes into (the gateway re-injects
   // late or babbled frames there), transitively.
@@ -107,16 +85,14 @@ std::vector<std::size_t> armed_can_buses(ProbabilisticCanAnalyzer& analyzer) {
 }
 
 std::vector<FrameTally> run_prob_testbed(const VehicleModel& model, std::size_t bus,
-                                         const BusErrorModel& error_model,
+                                         const network::CanErrorModel& error_model,
                                          std::uint64_t seed, double send_s,
                                          double drain_s) {
   const BusModel& bus_model = model.buses[bus];
   sim::Simulator sim;
   network::CanBus can(sim, bus_model.scenario_name, bus_model.bit_rate_bps);
 
-  network::CanErrorModel armed;
-  armed.poisson_rate_per_s = error_model.poisson_rate_per_s;
-  armed.per_attempt_prob = error_model.per_attempt_prob;
+  network::CanErrorModel armed = error_model;
   armed.seed = seed ^ (0x9e3779b97f4a7c15ULL * (bus + 1));
   can.arm_error_model(armed);
 

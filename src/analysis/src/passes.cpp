@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "ev/analysis/prob.h"
@@ -247,7 +246,7 @@ BusOutcome compute_most(const VehicleModel& model, std::size_t bus_idx,
 ProbOutcome compute_prob_bus(const VehicleModel& model, std::size_t bus_idx,
                              const std::vector<std::size_t>& on_bus,
                              const std::vector<FrameBound>& bounds,
-                             const BusErrorModel& error_model) {
+                             const network::CanErrorModel& error_model) {
   ProbOutcome out;
   out.model = error_model;
   const BusModel& bus = model.buses[bus_idx];
@@ -402,64 +401,15 @@ std::vector<Diagnostic> compute_wiring(const VehicleModel& model) {
                  "no heartbeat coverage: the health subsystem is disabled, a "
                  "hang or crash goes undetected");
 
-  for (std::size_t i = 0; i < model.fault_events.size(); ++i) {
-    const config::FaultEventSpec& event = model.fault_events[i];
-    const std::string subject = "fault[" + std::to_string(i) + "]";
-    switch (event.kind) {
-      case config::FaultKind::kBusDrop:
-      case config::FaultKind::kBusCorrupt:
-      case config::FaultKind::kBusOff:
-      case config::FaultKind::kBusBabble: {
-        const bool known = std::any_of(
-            model.buses.begin(), model.buses.end(),
-            [&event](const BusModel& bus) { return bus.scenario_name == event.target; });
-        if (!known)
-          report.add(Severity::kError, "fault.unknown_target", subject,
-                     config::to_string(event.kind) + " targets unknown bus '" +
-                         event.target + "'");
-        break;
-      }
-      case config::FaultKind::kPartitionCrash:
-      case config::FaultKind::kPartitionHang: {
-        const bool known =
-            std::any_of(model.app.partitions.begin(), model.app.partitions.end(),
-                        [&event](const core::PartitionModel& partition) {
-                          return partition.name == event.target;
-                        });
-        if (!known)
-          report.add(Severity::kError, "fault.unknown_target", subject,
-                     config::to_string(event.kind) +
-                         " targets unknown cockpit partition '" + event.target +
-                         "'");
-        break;
-      }
-      case config::FaultKind::kSensorStuck: {
-        const std::optional<std::uint64_t> cell = config::parse_u64(event.target);
-        if (!cell || *cell >= model.cell_count)
-          report.add(Severity::kError, "fault.unknown_target", subject,
-                     "sensor fault targets cell '" + event.target +
-                         "' outside the pack (" +
-                         std::to_string(model.cell_count) + " cells)",
-                     static_cast<double>(model.cell_count));
-        break;
-      }
-      case config::FaultKind::kBusErrorRate:
-      case config::FaultKind::kBusErrorProb: {
-        const auto bus_it = std::find_if(
-            model.buses.begin(), model.buses.end(),
-            [&event](const BusModel& bus) { return bus.scenario_name == event.target; });
-        if (bus_it == model.buses.end())
-          report.add(Severity::kError, "fault.unknown_target", subject,
-                     config::to_string(event.kind) + " targets unknown bus '" +
-                         event.target + "'");
-        else if (bus_it->protocol != Protocol::kCan)
-          report.add(Severity::kError, "prob.unsupported_target", subject,
-                     config::to_string(event.kind) + " targets " +
-                         to_string(bus_it->protocol) + " bus '" + event.target +
-                         "' — the stochastic error model covers CAN only");
-        break;
-      }
-    }
+  for (std::size_t i = 0; i < model.faults.size(); ++i) {
+    const core::PlannedFault& fault = model.faults[i];
+    if (!fault.error) continue;
+    // A sensor-fault finding carries the pack size as its figure.
+    const double bound = fault.event.kind == config::FaultKind::kSensorStuck
+                             ? static_cast<double>(model.cell_count)
+                             : 0.0;
+    report.add(Severity::kError, fault.error->rule_id, "fault[" + std::to_string(i) + "]",
+               fault.error->message, bound);
   }
 
   for (const RouteModel& route : model.routes) {

@@ -33,7 +33,7 @@ namespace ev::analysis::passes {
 [[nodiscard]] ProbOutcome compute_prob_bus(const VehicleModel& model, std::size_t bus,
                                            const std::vector<std::size_t>& on_bus,
                                            const std::vector<FrameBound>& bounds,
-                                           const BusErrorModel& error_model);
+                                           const network::CanErrorModel& error_model);
 
 /// Numeric ECU pass: budgets, window RTA, per-partition demand.
 [[nodiscard]] EcuOutcome compute_ecu(const VehicleModel& model);

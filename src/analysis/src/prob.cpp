@@ -43,22 +43,13 @@ double combined_tail_above(double mean, int n, double p, int k) {
   return std::clamp(1.0 - cum, 0.0, 1.0);
 }
 
-std::vector<BusErrorModel> derive_error_models(const VehicleModel& model) {
-  std::vector<BusErrorModel> models(model.buses.size());
-  for (const config::FaultEventSpec& event : model.fault_events) {
-    if (event.kind != config::FaultKind::kBusErrorRate &&
-        event.kind != config::FaultKind::kBusErrorProb)
+std::vector<network::CanErrorModel> derive_error_models(const VehicleModel& model) {
+  std::vector<network::CanErrorModel> models(model.buses.size());
+  for (const core::PlannedFault& fault : model.faults) {
+    if (fault.error || core::fault_target_kind(fault.event.kind) !=
+                           core::FaultTargetKind::kCanBus)
       continue;
-    for (std::size_t b = 0; b < model.buses.size(); ++b) {
-      if (model.buses[b].scenario_name != event.target) continue;
-      if (event.kind == config::FaultKind::kBusErrorRate)
-        models[b].poisson_rate_per_s += event.value;
-      else if (models[b].per_attempt_prob == 0.0)  // exact for the single-spec case
-        models[b].per_attempt_prob = event.value;
-      else
-        models[b].per_attempt_prob =
-            1.0 - (1.0 - models[b].per_attempt_prob) * (1.0 - event.value);
-    }
+    core::merge_error_event(fault.event, models[fault.index]);
   }
   return models;
 }

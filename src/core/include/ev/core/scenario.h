@@ -26,8 +26,11 @@ namespace ev::core {
 /// Builds the drive mission the spec describes.
 [[nodiscard]] powertrain::DriveCycle to_drive_cycle(const config::ScenarioSpec& spec);
 
-/// Validates \p spec, constructs the vehicle, and attaches every enabled
-/// subsystem. The returned system is ready for one run().
+/// Validates \p spec, resolves its fault targets (resolve_fault_targets,
+/// faults on or off), constructs the vehicle, and attaches every enabled
+/// subsystem. The first unresolved target throws std::invalid_argument
+/// "fault[i]: <message>" with the message `evsys check` reports for it,
+/// before anything is built. The returned system is ready for one run().
 [[nodiscard]] std::unique_ptr<VehicleSystem> build_vehicle(
     const config::ScenarioSpec& spec);
 

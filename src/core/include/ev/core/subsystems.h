@@ -3,9 +3,10 @@
 /// from a scenario description:
 ///  - ObservabilitySubsystem: one MetricsRegistry + span sink observing the
 ///    kernel, every Fig. 1 bus, and the cockpit middleware;
-///  - FaultsSubsystem: seeded FaultPlan resolved against buses/partitions/
-///    cells by name, NetworkHealthWatcher over all buses, and the
-///    DegradationManager driving the plant's torque/speed limits;
+///  - FaultsSubsystem: seeded FaultPlan injected into the buses, partitions
+///    and cells resolve_fault_targets() resolved, NetworkHealthWatcher over
+///    all buses, and the DegradationManager driving the plant's torque/speed
+///    limits;
 ///  - HealthSubsystem: heartbeat watchdog over the cockpit partitions,
 ///    feeding partition restarts into the degradation manager when one is
 ///    attached;
@@ -16,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -24,12 +24,12 @@
 
 #include "ev/config/scenario.h"
 #include "ev/core/cosim.h"
+#include "ev/core/fault_targets.h"
 #include "ev/core/subsystem.h"
 #include "ev/faults/degradation.h"
 #include "ev/faults/fault_plan.h"
 #include "ev/faults/network_faults.h"
 #include "ev/middleware/health.h"
-#include "ev/network/can.h"
 #include "ev/obs/metrics.h"
 #include "ev/obs/sim_observer.h"
 #include "ev/obs/span_trace.h"
@@ -70,7 +70,8 @@ class FaultsSubsystem final : public Subsystem {
  public:
   struct Options {
     std::uint64_t seed = 1;
-    std::vector<config::FaultEventSpec> events;
+    /// Every target resolved (build_vehicle throws on an unresolved one).
+    std::vector<PlannedFault> faults;
     faults::DegradationPolicy policy{};
     faults::NetworkWatchConfig watch{};
   };
@@ -102,10 +103,6 @@ class FaultsSubsystem final : public Subsystem {
   std::unique_ptr<faults::NetworkHealthWatcher> watcher_;
   std::unique_ptr<faults::FaultPlan> plan_;
   std::vector<std::unique_ptr<faults::BabblingIdiot>> babblers_;
-  /// Combined stochastic error model per CAN bus: rate and probability specs
-  /// targeting the same bus merge before arming (mirrors
-  /// analysis::derive_error_models so sim and analyzer agree).
-  std::map<network::CanBus*, network::CanErrorModel> staged_errors_;
   std::vector<ModeChange> mode_changes_;
 };
 

@@ -2,7 +2,10 @@
 
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
+#include "ev/core/app_model.h"
+#include "ev/core/fault_targets.h"
 #include "ev/core/subsystems.h"
 #include "ev/util/json.h"
 
@@ -69,7 +72,17 @@ powertrain::DriveCycle to_drive_cycle(const config::ScenarioSpec& spec) {
 }
 
 std::unique_ptr<VehicleSystem> build_vehicle(const config::ScenarioSpec& spec) {
-  auto vehicle = std::make_unique<VehicleSystem>(to_vehicle_config(spec));
+  VehicleSystemConfig config = to_vehicle_config(spec);
+  // Every target is resolved whether or not faults are on, so `run` rejects
+  // what `check` rejects, with its message, before anything is built.
+  std::vector<PlannedFault> faults = resolve_fault_targets(
+      spec.faults, cockpit_app_model(config, /*health_enabled=*/false).partitions,
+      static_cast<std::size_t>(spec.pack.module_count * spec.pack.cells_per_module));
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    if (faults[i].error)
+      throw std::invalid_argument("fault[" + std::to_string(i) +
+                                  "]: " + faults[i].error->message);
+  auto vehicle = std::make_unique<VehicleSystem>(std::move(config));
   // Attachment order matters: obs first so everyone else can find the
   // registry, faults before health so the watchdog can feed the mode machine.
   if (spec.subsystems.obs)
@@ -79,7 +92,7 @@ std::unique_ptr<VehicleSystem> build_vehicle(const config::ScenarioSpec& spec) {
   if (spec.subsystems.faults) {
     FaultsSubsystem::Options options;
     options.seed = spec.fault_seed;
-    options.events = spec.faults;
+    options.faults = std::move(faults);
     vehicle->attach(std::make_unique<FaultsSubsystem>(std::move(options)));
   }
   if (spec.subsystems.health) vehicle->attach(std::make_unique<HealthSubsystem>());

@@ -2,47 +2,12 @@
 
 #include <cstring>
 #include <functional>
-#include <optional>
-#include <stdexcept>
 
 #include "ev/network/bus.h"
 #include "ev/network/can.h"
 #include "ev/obs/export.h"
 
 namespace ev::core {
-namespace {
-
-/// Scenario-facing bus names (stable, independent of display names).
-network::Bus* resolve_bus(VehicleSystem& vehicle, const std::string& target) {
-  network::Figure1Network& net = vehicle.network();
-  if (target == "body_lin") return &net.body_lin();
-  if (target == "comfort_can") return &net.comfort_can();
-  if (target == "infotainment_most") return &net.infotainment_most();
-  if (target == "safety_can") return &net.safety_can();
-  if (target == "chassis_flexray") return &net.chassis_flexray();
-  throw std::invalid_argument("FaultsSubsystem: unknown bus '" + target + "'");
-}
-
-std::size_t resolve_partition(VehicleSystem& vehicle, const std::string& target) {
-  middleware::Middleware& cockpit = vehicle.cockpit();
-  for (std::size_t p = 0; p < cockpit.partition_count(); ++p)
-    if (cockpit.partition(p).name() == target) return p;
-  throw std::invalid_argument("FaultsSubsystem: unknown cockpit partition '" + target +
-                              "'");
-}
-
-/// The pack cell a bms.stuck_voltage fault names, checked against the pack
-/// before the run starts — the same grammar and range `evsys check` uses.
-std::size_t resolve_cell(VehicleSystem& vehicle, const std::string& target) {
-  const std::size_t cells = vehicle.powertrain().pack().cell_count();
-  const std::optional<std::uint64_t> cell = config::parse_u64(target);
-  if (!cell || *cell >= cells)
-    throw std::invalid_argument("FaultsSubsystem: sensor fault targets cell '" + target +
-                                "' outside the pack (" + std::to_string(cells) +
-                                " cells)");
-  return static_cast<std::size_t>(*cell);
-}
-}  // namespace
 
 // ----------------------------------------------------------- observability --
 
@@ -104,30 +69,36 @@ void FaultsSubsystem::attach(VehicleSystem& vehicle) {
 
 void FaultsSubsystem::before_run(VehicleSystem& vehicle) {
   sim::Simulator& sim = vehicle.simulator();
-  for (const config::FaultEventSpec& event : options_.events) {
+  const std::vector<network::Bus*> buses = vehicle.network().buses();
+  middleware::Middleware* cockpit = &vehicle.cockpit();
+  // Rate and probability specs on the same bus share one model: each event
+  // (re)arms the merge of every spec on its bus so far.
+  network::CanErrorModel staged[config::kArchBusCount];
+  for (const PlannedFault& fault : options_.faults) {
+    const config::FaultEventSpec& event = fault.event;
     const sim::Time at = sim::Time::seconds(event.at_s);
     const std::string label = config::to_string(event.kind) + "." + event.target;
+    const FaultTargetKind target = fault_target_kind(event.kind);
+    network::Bus* bus = target == FaultTargetKind::kBus || target == FaultTargetKind::kCanBus
+                            ? buses[fault.index]
+                            : nullptr;
     switch (event.kind) {
       case config::FaultKind::kBusDrop: {
-        network::Bus* bus = resolve_bus(vehicle, event.target);
         const auto frames = static_cast<std::size_t>(event.value);
         plan_->add(at, label, [bus, frames] { bus->inject_drop(frames); });
         break;
       }
       case config::FaultKind::kBusCorrupt: {
-        network::Bus* bus = resolve_bus(vehicle, event.target);
         const auto frames = static_cast<std::size_t>(event.value);
         plan_->add(at, label, [bus, frames] { bus->inject_corruption(frames); });
         break;
       }
       case config::FaultKind::kBusOff: {
-        network::Bus* bus = resolve_bus(vehicle, event.target);
         const sim::Time recovery = sim::Time::seconds(event.value);
         plan_->add(at, label, [bus, recovery] { bus->inject_bus_off(recovery); });
         break;
       }
       case config::FaultKind::kBusBabble: {
-        network::Bus* bus = resolve_bus(vehicle, event.target);
         babblers_.push_back(std::make_unique<faults::BabblingIdiot>(sim, *bus));
         faults::BabblingIdiot* idiot = babblers_.back().get();
         const sim::Time duration = sim::Time::seconds(event.value);
@@ -137,49 +108,35 @@ void FaultsSubsystem::before_run(VehicleSystem& vehicle) {
         });
         break;
       }
-      case config::FaultKind::kPartitionCrash: {
-        const std::size_t p = resolve_partition(vehicle, event.target);
-        middleware::Middleware* cockpit = &vehicle.cockpit();
-        plan_->add(at, label, [cockpit, p] { cockpit->partition(p).inject_crash(); });
-        break;
-      }
-      case config::FaultKind::kPartitionHang: {
-        const std::size_t p = resolve_partition(vehicle, event.target);
-        middleware::Middleware* cockpit = &vehicle.cockpit();
-        const auto windows = static_cast<std::uint32_t>(event.value);
+      case config::FaultKind::kPartitionCrash:
         plan_->add(at, label,
-                   [cockpit, p, windows] { cockpit->partition(p).inject_hang(windows); });
+                   [cockpit, p = fault.index] { cockpit->partition(p).inject_crash(); });
+        break;
+      case config::FaultKind::kPartitionHang: {
+        const auto windows = static_cast<std::uint32_t>(event.value);
+        plan_->add(at, label, [cockpit, p = fault.index, windows] {
+          cockpit->partition(p).inject_hang(windows);
+        });
         break;
       }
       case config::FaultKind::kBusErrorRate:
       case config::FaultKind::kBusErrorProb: {
-        auto* can = dynamic_cast<network::CanBus*>(resolve_bus(vehicle, event.target));
-        if (can == nullptr)
-          throw std::invalid_argument("fault '" + label +
-                                      "': stochastic error models need a CAN bus");
-        // Arm at the scheduled instant; rate and probability specs on the
-        // same bus share one model, so stage the merge here and (re)arm with
-        // the combined figures. The RNG stream is derived from the plan seed
-        // so campaigns replay bit-identically per seed.
-        network::CanErrorModel* staged = &staged_errors_[can];
-        if (event.kind == config::FaultKind::kBusErrorRate)
-          staged->poisson_rate_per_s += event.value;
-        else if (staged->per_attempt_prob == 0.0)  // exact for the single-spec case
-          staged->per_attempt_prob = event.value;
-        else
-          staged->per_attempt_prob =
-              1.0 - (1.0 - staged->per_attempt_prob) * (1.0 - event.value);
-        staged->seed = options_.seed ^ (0x9e3779b97f4a7c15ULL +
-                                        std::hash<std::string>{}(event.target));
-        const network::CanErrorModel armed = *staged;
-        plan_->add(at, label, [can, armed] { can->arm_error_model(armed); });
+        // The resolver admits error models on CAN buses only. The RNG stream
+        // is derived from the plan seed so campaigns replay bit-identically
+        // per seed.
+        network::CanErrorModel& model = staged[fault.index];
+        merge_error_event(event, model);
+        model.seed = options_.seed ^ (0x9e3779b97f4a7c15ULL +
+                                      std::hash<std::string>{}(event.target));
+        plan_->add(at, label, [can = static_cast<network::CanBus*>(bus), armed = model] {
+          can->arm_error_model(armed);
+        });
         break;
       }
       case config::FaultKind::kSensorStuck: {
-        const std::size_t cell = resolve_cell(vehicle, event.target);
         bms::BatteryManager* bms = &vehicle.powertrain().bms();
         const double stuck_v = event.value;
-        plan_->add(at, label, [bms, cell, stuck_v] {
+        plan_->add(at, label, [bms, cell = fault.index, stuck_v] {
           battery::SensorFault stuck;
           stuck.mode = battery::SensorFaultMode::kStuckAt;
           stuck.stuck_value = stuck_v;

@@ -12,6 +12,7 @@
 #include "ev/analysis/analyzer.h"
 #include "ev/analysis/oracle.h"
 #include "ev/analysis/prob.h"
+#include "ev/core/fault_targets.h"
 #include "ev/core/scenario.h"
 #include "ev/core/subsystems.h"
 #include "ev/util/crc.h"
@@ -50,19 +51,16 @@ T pick(util::Rng& rng, const T (&options)[N]) {
       rng.uniform_int(0, static_cast<std::int64_t>(N) - 1))];
 }
 
-bool is_error_model_fault(FaultKind kind) {
-  return kind == FaultKind::kBusErrorRate || kind == FaultKind::kBusErrorProb;
-}
-
 /// Draws a kind-valid fault plan against the extracted model: bus faults
 /// name real buses (error models CAN only), partition faults name cockpit
 /// partitions, sensor faults index real cells.
 void generate_faults(util::Rng& rng, const VehicleModel& model, ScenarioSpec& spec) {
   if (!rng.bernoulli(0.55)) return;
-  static constexpr const char* kAnyBus[] = {
-      "body_lin", "comfort_can", "infotainment_most", "safety_can",
-      "chassis_flexray"};
   static constexpr const char* kCanBus[] = {"comfort_can", "safety_can"};
+  const auto pick_partition = [&] {
+    const auto last = static_cast<std::int64_t>(model.app.partitions.size()) - 1;
+    return model.app.partitions[static_cast<std::size_t>(rng.uniform_int(0, last))].name;
+  };
   const auto faults = rng.uniform_int(1, 4);
   for (std::int64_t i = 0; i < faults; ++i) {
     config::FaultEventSpec fault;
@@ -70,44 +68,32 @@ void generate_faults(util::Rng& rng, const VehicleModel& model, ScenarioSpec& sp
     switch (rng.uniform_int(0, 8)) {
       case 0:
         fault.kind = FaultKind::kBusDrop;
-        fault.target = pick(rng, kAnyBus);
+        fault.target = pick(rng, config::kArchBusNames);
         fault.value = static_cast<double>(rng.uniform_int(1, 8));
         break;
       case 1:
         fault.kind = FaultKind::kBusCorrupt;
-        fault.target = pick(rng, kAnyBus);
+        fault.target = pick(rng, config::kArchBusNames);
         fault.value = static_cast<double>(rng.uniform_int(1, 8));
         break;
       case 2:
         fault.kind = FaultKind::kBusOff;
-        fault.target = pick(rng, kAnyBus);
+        fault.target = pick(rng, config::kArchBusNames);
         fault.value = round_to(rng.uniform(0.02, 0.2), 0.001);
         break;
       case 3:
         fault.kind = FaultKind::kBusBabble;
-        fault.target = pick(rng, kAnyBus);
+        fault.target = pick(rng, config::kArchBusNames);
         fault.value = round_to(rng.uniform(0.05, 0.3), 0.001);
         break;
       case 4:
         fault.kind = FaultKind::kPartitionCrash;
-        fault.target = model.app
-                           .partitions[static_cast<std::size_t>(rng.uniform_int(
-                               0,
-                               static_cast<std::int64_t>(
-                                   model.app.partitions.size()) -
-                                   1))]
-                           .name;
+        fault.target = pick_partition();
         fault.value = 0.0;
         break;
       case 5:
         fault.kind = FaultKind::kPartitionHang;
-        fault.target = model.app
-                           .partitions[static_cast<std::size_t>(rng.uniform_int(
-                               0,
-                               static_cast<std::int64_t>(
-                                   model.app.partitions.size()) -
-                                   1))]
-                           .name;
+        fault.target = pick_partition();
         fault.value = static_cast<double>(rng.uniform_int(1, 5));
         break;
       case 6:
@@ -277,10 +263,9 @@ std::string conservation_violation(const core::ScenarioRunResult& run) {
 /// E19 contract on every surface no declared fault can perturb; counts the
 /// comparisons up to and including the first violation.
 std::string bound_violations(const VehicleModel& model, const Report& report,
-                             core::VehicleSystem& vehicle, const ScenarioSpec& spec,
-                             std::size_t* comparisons) {
+                             core::VehicleSystem& vehicle, std::size_t* comparisons) {
   for (const analysis::BoundCheck& check :
-       analysis::bound_checks(model, report, vehicle, spec.faults)) {
+       analysis::bound_checks(model, report, vehicle)) {
     ++*comparisons;
     if (check.sound()) continue;
     std::string what;
@@ -305,7 +290,8 @@ std::string prob_violations(const VehicleModel& model, const ScenarioSpec& spec,
                             double send_s, std::size_t* comparisons) {
   if (std::none_of(spec.faults.begin(), spec.faults.end(),
                    [](const config::FaultEventSpec& fault) {
-                     return is_error_model_fault(fault.kind);
+                     return core::fault_target_kind(fault.kind) ==
+                            core::FaultTargetKind::kCanBus;
                    }))
     return {};
   analysis::ProbabilisticCanAnalyzer analyzer(model);
@@ -559,7 +545,7 @@ ScenarioOutcome evaluate_scenario(const config::ScenarioSpec& spec,
     failed(FailureKind::kConservation, err);
     return out;
   }
-  err = bound_violations(model, report, *vehicle, spec, &out.bound_comparisons);
+  err = bound_violations(model, report, *vehicle, &out.bound_comparisons);
   if (!err.empty()) {
     failed(FailureKind::kBoundViolation, err);
     return out;

@@ -34,6 +34,7 @@ struct CanErrorModel {
   [[nodiscard]] bool armed() const noexcept {
     return poisson_rate_per_s > 0.0 || per_attempt_prob > 0.0;
   }
+  friend bool operator==(const CanErrorModel&, const CanErrorModel&) = default;
 };
 
 /// CAN 2.0A bus. Payload limited to 8 bytes; frames exceeding it are

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -195,16 +196,34 @@ TEST(Analyzer, FaultPlanNamingNonexistentTargetsIsAnError) {
   ev::config::ScenarioSpec spec = clean_spec();
   spec.subsystems.faults = true;
   spec.faults = {
-      // Misspelt bus, missing partition, and a cell index beyond the pack.
+      // Misspelt bus, missing partition, a cell index beyond the pack, and an
+      // error model on the LIN bus.
       {1.0, ev::config::FaultKind::kBusDrop, "safty_can", 2.0},
       {2.0, ev::config::FaultKind::kPartitionCrash, "navigation", 0.0},
       {3.0, ev::config::FaultKind::kSensorStuck, "500", 4.2},
+      {4.0, ev::config::FaultKind::kBusErrorRate, "body_lin", 5.0},
   };
   const Report report = analyze_scenario(spec);
-  EXPECT_EQ(report.count(Severity::kError), 3u);
-  for (const char* subject : {"fault[0]", "fault[1]", "fault[2]"})
-    ASSERT_NE(report.find("fault.unknown_target", subject), nullptr) << subject;
+  EXPECT_EQ(report.count(Severity::kError), 4u);
+  const std::vector<const Diagnostic*> found = {
+      report.find("fault.unknown_target", "fault[0]"),
+      report.find("fault.unknown_target", "fault[1]"),
+      report.find("fault.unknown_target", "fault[2]"),
+      report.find("prob.unsupported_target", "fault[3]")};
   EXPECT_EQ(exit_code_for(report), 1);
+
+  // `run` rejects each event with the message `check` reports for it.
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    ASSERT_NE(found[i], nullptr) << "fault[" << i << "]";
+    ev::config::ScenarioSpec alone = spec;
+    alone.faults = {spec.faults[i]};
+    try {
+      (void)ev::core::build_vehicle(alone);
+      ADD_FAILURE() << "build_vehicle accepted fault[" << i << "]";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "fault[0]: " + found[i]->message);
+    }
+  }
 }
 
 TEST(Analyzer, ValidFaultTargetsPassClean) {

@@ -4,8 +4,12 @@
 #   unknown template kind  -> exit 2, stderr enumerates the template kinds
 #   explicit 'template scenario' and bare 'template' -> identical output
 #   malformed or out-of-range numeric flag -> exit 2, stderr names the flag
+#   unknown, valueless or repeated flag, extra operand
+#                          -> exit 2, one stderr line naming verb and culprit
 #   bms.stuck_voltage cell outside the pack -> `check` exit 1, `run` fails
 #                                              before simulating, naming it
+#   tests/data/bad_targets.scn (faults off) -> `check` exit 1, `run` exit 1
+#                                              with check's first message
 #   report lost to a full device (/dev/full as --out or stdout)
 #                          -> exit 1 on every verb, stderr says "cannot write"
 # Expects -DEVSYS=<path to the evsys binary>, -DSOURCE_DIR=<repo root> and
@@ -79,9 +83,8 @@ if(NOT code EQUAL 2)
 endif()
 message(STATUS "bare invocation exits 2 with usage")
 
-# Numeric flags read the closed integer grammar of scenario text: no sign
-# on unsigned values, no whitespace or trailing garbage, no overflow.
-function(expect_flag_error flag)
+# Misuse exits 2 with one stderr line that contains WHAT verbatim.
+function(expect_usage_error what)
   execute_process(
     COMMAND "${EVSYS}" ${ARGN}
     RESULT_VARIABLE code
@@ -90,9 +93,18 @@ function(expect_flag_error flag)
   if(NOT code EQUAL 2)
     message(FATAL_ERROR "'${ARGN}': expected exit 2, got ${code}\n${err}")
   endif()
-  if(NOT err MATCHES "${flag} expects")
-    message(FATAL_ERROR "'${ARGN}': stderr does not name ${flag}:\n${err}")
+  string(FIND "${err}" "${what}" at)
+  string(REGEX MATCHALL "\n" newlines "${err}")
+  list(LENGTH newlines lines)
+  if(at EQUAL -1 OR NOT lines EQUAL 1)
+    message(FATAL_ERROR "'${ARGN}': expected one stderr line saying '${what}':\n${err}")
   endif()
+endfunction()
+
+# Numeric flags read the closed integer grammar of scenario text: no sign
+# on unsigned values, no whitespace or trailing garbage, no overflow.
+function(expect_flag_error flag verb)
+  expect_usage_error("evsys ${verb}: ${flag} expects" ${verb} ${ARGN})
 endfunction()
 expect_flag_error(--first campaign "${limp}" --seeds 1 --first -1)
 expect_flag_error(--jobs campaign "${limp}" --seeds 1 --jobs abc)
@@ -104,7 +116,27 @@ expect_flag_error(--jobs fuzz --jobs 4294967296)
 expect_flag_error(--iters synthesize "${limp}" --iters 1e3)
 expect_flag_error(--jobs fleet "${SOURCE_DIR}/examples/scenarios/depot_fleet.fleet"
                   --jobs " 3")
+# ... and stay above their lower bounds.
+expect_usage_error("evsys campaign: --seeds expects an integer >= 1, got '0'"
+                   campaign "${limp}" --seeds 0)
+expect_usage_error("evsys campaign: --stride expects an integer >= 1, got '0'"
+                   campaign "${limp}" --stride 0)
+expect_usage_error("evsys fuzz: --count expects an integer >= 1, got '0'"
+                   fuzz --count 0)
+expect_usage_error("evsys synthesize: --iters expects an integer >= 0, got '-1'"
+                   synthesize "${limp}" --iters -1)
 message(STATUS "malformed numeric flags exit 2 naming the flag")
+
+# Each verb's flags are closed: the culprit is named, not the usage text.
+expect_usage_error("evsys run: unknown flag '--bogus'" run "${limp}" --bogus)
+expect_usage_error("evsys run: --out needs a value" run "${limp}" --out)
+expect_usage_error("evsys campaign: --seeds given twice"
+                   campaign "${limp}" --seeds 1 --seeds 2)
+expect_usage_error("evsys template: unexpected argument 'extra'"
+                   template scenario extra)
+expect_usage_error("evsys template: unexpected argument 'extra'"
+                   template fleet extra)
+message(STATUS "unknown, valueless and repeated flags and extra operands exit 2")
 
 # A stuck-voltage fault on cell -1: `check` and `run` agree it names no cell.
 file(READ "${limp}" text)
@@ -127,6 +159,32 @@ if(NOT code EQUAL 1 OR NOT err MATCHES "sensor fault targets cell '-1' outside t
   message(FATAL_ERROR "run on cell -1: expected exit 1 naming the target, got ${code}:\n${err}")
 endif()
 message(STATUS "run rejects the stuck-voltage cell check rejects, before simulating")
+
+# Four targets the vehicle lacks, with the fault subsystem off: targets are
+# resolved regardless, so `run` fails on the first one `check` reports.
+set(bad_targets "${SOURCE_DIR}/tests/data/bad_targets.scn")
+execute_process(
+  COMMAND "${EVSYS}" check "${bad_targets}"
+  RESULT_VARIABLE code
+  OUTPUT_QUIET
+  ERROR_VARIABLE check_err)
+if(NOT code EQUAL 1 OR
+   NOT check_err MATCHES "error fault\\[0\\] \\[fault\\.unknown_target\\] ([^\n]*)")
+  message(FATAL_ERROR "check on bad_targets.scn: expected exit 1 with fault[0] "
+                      "first, got ${code}:\n${check_err}")
+endif()
+set(first_error "${CMAKE_MATCH_1}")
+execute_process(
+  COMMAND "${EVSYS}" run "${bad_targets}"
+  RESULT_VARIABLE code
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+string(FIND "${err}" "${first_error}" at)
+if(NOT code EQUAL 1 OR at EQUAL -1 OR NOT out STREQUAL "")
+  message(FATAL_ERROR "run on bad_targets.scn: expected exit 1 saying "
+                      "'${first_error}', got ${code}:\n${err}")
+endif()
+message(STATUS "run rejects bad_targets.scn with check's first error, faults off")
 
 # Every verb writes its report through one checked writer: a report lost to
 # a full device fails the verb instead of exiting 0.

@@ -308,13 +308,13 @@ TEST(Subsystems, UnknownFaultTargetThrowsOnRun) {
   spec.subsystems.faults = true;
   spec.faults = {ev::config::FaultEventSpec{
       1.0, ev::config::FaultKind::kBusDrop, "warp_bus", 1.0}};
-  auto vehicle = build_vehicle(spec);
-  EXPECT_THROW((void)vehicle->run(short_cycle()), std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
 }
 
 TEST(Subsystems, StuckVoltageCellOutsidePackThrowsBeforeSimulating) {
   // `evsys check` rejects these targets (fault.unknown_target); `run` must
-  // reject the same ones with the same grammar, before any simulated time.
+  // reject the same ones with the same grammar, before any simulated time:
+  // build_vehicle throws, so no vehicle exists to run.
   ev::config::ScenarioSpec spec;
   spec.subsystems.obs = false;
   spec.subsystems.faults = true;
@@ -325,21 +325,39 @@ TEST(Subsystems, StuckVoltageCellOutsidePackThrowsBeforeSimulating) {
         std::string("+3"), std::string("3x")}) {
     spec.faults = {ev::config::FaultEventSpec{
         3.0, ev::config::FaultKind::kSensorStuck, target, 3.7}};
-    auto vehicle = build_vehicle(spec);
     try {
-      (void)vehicle->run(short_cycle());
+      (void)build_vehicle(spec);
       ADD_FAILURE() << "target '" << target << "' was accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("'" + target + "'"), std::string::npos)
           << e.what();
     }
-    EXPECT_EQ(vehicle->simulator().now().to_seconds(), 0.0) << target;
   }
   // The last cell of the pack is a valid target.
   spec.faults = {ev::config::FaultEventSpec{
       3.0, ev::config::FaultKind::kSensorStuck,
       std::to_string(spec.pack.module_count * spec.pack.cells_per_module - 1), 3.7}};
   EXPECT_NO_THROW((void)build_vehicle(spec)->run(short_cycle()));
+}
+
+TEST(Subsystems, BadFaultTargetsThrowInBuildEvenWithFaultsOff) {
+  // tests/data/bad_targets.scn, inline: four targets the vehicle lacks, with
+  // the fault subsystem off. Targets are resolved regardless, so the build
+  // fails on the first, with the message `evsys check` reports for it.
+  const ev::config::ScenarioSpec spec = ev::config::ScenarioSpec::from_text(
+      "scenario.name = bad_targets\n"
+      "subsystems.faults = false\n"
+      "fault.0 = 1 bus.drop warp_bus 2\n"
+      "fault.1 = 2 partition.crash navigation 0\n"
+      "fault.2 = 3 bms.stuck_voltage 9999 3.7\n"
+      "fault.3 = 4 bus.error_rate body_lin 5\n");
+  ASSERT_FALSE(spec.subsystems.faults);
+  try {
+    (void)build_vehicle(spec);
+    ADD_FAILURE() << "build_vehicle accepted four unknown fault targets";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "fault[0]: bus.drop targets unknown bus 'warp_bus'");
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the bound-vs-observation oracle: which surfaces a fault
 // plan excludes, soundness on a clean drive, and the CAN error testbed.
-// The exclusion cases reuse one simulated run and vary only the fault list,
-// which is an input of bound_checks.
+// The exclusion cases reuse one simulated run and vary only the model's
+// fault plan, which is an input of bound_checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "ev/analysis/prob.h"
 #include "ev/config/scenario.h"
 #include "ev/core/cosim.h"
+#include "ev/core/fault_targets.h"
 #include "ev/core/scenario.h"
 
 namespace {
@@ -32,7 +33,10 @@ struct CleanRun {
   std::unique_ptr<ev::core::VehicleSystem> vehicle;
 
   std::vector<BoundCheck> checks(const std::vector<FaultEventSpec>& faults) const {
-    return ev::analysis::bound_checks(model, report, *vehicle, faults);
+    ev::analysis::VehicleModel faulted = model;
+    faulted.faults =
+        ev::core::resolve_fault_targets(faults, model.app.partitions, model.cell_count);
+    return ev::analysis::bound_checks(faulted, report, *vehicle);
   }
 };
 

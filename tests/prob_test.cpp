@@ -122,7 +122,7 @@ TEST(ProbDerive, RatesSuperposeAndProbsCompose) {
       FaultEventSpec{0.0, FaultKind::kBusDrop, "safety_can", 3.0},  // not an error model
   };
   const VehicleModel model = extract_model(spec);
-  const std::vector<BusErrorModel> models = derive_error_models(model);
+  const std::vector<ev::network::CanErrorModel> models = derive_error_models(model);
   double rate = 0.0, prob = 0.0;
   for (std::size_t b = 0; b < model.buses.size(); ++b) {
     if (model.buses[b].scenario_name == "safety_can") {
