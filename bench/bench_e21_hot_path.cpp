@@ -2,9 +2,10 @@
 // every deterministic artifact byte-identical (Golden.HotPathArtifacts pins
 // that) and buys its speed in three places: the event kernel (slab/free-list
 // arena + flat binary heap + inline EventFn), the battery plant
-// (structure-of-arrays CellBatch::step_all), and the pub/sub plane (span
-// publish into a reusable arena). This experiment times each of them, plus
-// one whole urban scenario, on fixed workloads; the A/B against the
+// (structure-of-arrays CellBatch::step_all, and the one-sweep-per-step
+// plant + BMS layer around it), and the pub/sub plane (span publish into a
+// reusable arena). This experiment times each of them, plus one whole urban
+// scenario, on fixed workloads; the A/B against the
 // pre-rework design is archived in EXPERIMENTS.md E21. Wall-clock gauges
 // live only here — never in the byte-compared E2/E17/E18 artifacts — and
 // feed scripts/perfgate.py.
@@ -19,6 +20,8 @@
 #include <vector>
 
 #include "ev/battery/cell_batch.h"
+#include "ev/battery/pack.h"
+#include "ev/bms/battery_manager.h"
 #include "ev/config/scenario.h"
 #include "ev/core/scenario.h"
 #include "ev/middleware/pubsub.h"
@@ -170,6 +173,30 @@ double measure_cells(std::size_t count, int steps) {
   });
 }
 
+// --- plant + BMS layer: one control step over a whole pack ------------------
+
+/// A 16x12 actively balanced pack (the 192 cells of e2ebench's `stress`
+/// drive), Pack::step then BatteryManager::step every 10 ms under a
+/// drive/regen current profile: the cell plant, the module sweep, the safety
+/// monitor and the balancers, without the vehicle around them.
+double measure_plant(int periods) {
+  return best_wall_of3([periods] {
+    ev::util::Rng rng(21);
+    ev::battery::PackConfig pack_config;
+    pack_config.module_count = 16;
+    pack_config.cells_per_module = 12;
+    ev::battery::Pack pack(pack_config, rng);
+    ev::bms::BmsConfig bms_config;
+    bms_config.balancing = ev::bms::BalancingKind::kActive;
+    ev::bms::BatteryManager bms(pack, bms_config);
+    for (int k = 0; k < periods; ++k) {
+      (void)pack.step(k % 500 < 300 ? 60.0 : -25.0, 0.01);
+      (void)bms.step(pack, 0.01, rng);
+    }
+    benchmark::DoNotOptimize(pack.mean_soc());
+  });
+}
+
 // --- pub/sub plane: span publish into the broker arena ----------------------
 
 double measure_publish(int samples) {
@@ -219,12 +246,14 @@ void run_experiment() {
 
   const KernelRun kernel = measure_kernel();
   const double cells_s = measure_cells(/*count=*/96, /*steps=*/50000);
+  const double plant_s = measure_plant(/*periods=*/10000);
   const double publish_s = measure_publish(/*samples=*/1'000'000);
   const double scenario_s = measure_scenario();
 
   ev::util::Table table("hot path (best of 3)", {"stage", "wall [s]"});
   table.add_row({"event kernel (E18 dispatch mix, 30 s sim)", ev::util::fmt(kernel.wall_s, 3)});
   table.add_row({"battery plant (96 cells x 50k steps)", ev::util::fmt(cells_s, 3)});
+  table.add_row({"plant + BMS (16x12 active pack x 10k periods)", ev::util::fmt(plant_s, 3)});
   table.add_row({"pub/sub publish (1M samples)", ev::util::fmt(publish_s, 3)});
   table.add_row({"full urban scenario, single seed (one run)", ev::util::fmt(scenario_s, 3)});
   table.print();
@@ -241,6 +270,7 @@ void run_experiment() {
   evbench::set_gauge("e21.kernel.heap_constructions",
                      static_cast<double>(kernel.heap_constructions_delta));
   evbench::set_gauge("e21.cells.soa_wall_s", cells_s);
+  evbench::set_gauge("e21.plant.step_wall_s", plant_s);
   evbench::set_gauge("e21.publish.span_wall_s", publish_s);
   evbench::set_gauge("e21.scenario.wall_s", scenario_s);
 }

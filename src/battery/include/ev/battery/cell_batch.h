@@ -9,6 +9,12 @@
 /// parameters, so they are cached per cell and recomputed only when the step
 /// size changes; with a fixed simulation step this removes the two exp()
 /// calls per cell per step.
+///
+/// The open-circuit voltage is a lane too: ocv_[i] == curve.voltage(soc_[i])
+/// holds bit for bit at all times, because every write of soc_ (constructor,
+/// step_all(), inject_charge()) refreshes it. Everything that reads a cell's
+/// OCV or terminal voltage between two steps reads the lane, so the plant
+/// looks the curve up once per cell per step.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +59,7 @@ class CellBatch {
 
   /// Transfers \p coulombs of charge directly into (+) or out of (-) cell
   /// \p i without ohmic loss, used by the active-balancing hardware model
-  /// which accounts for converter efficiency itself.
+  /// which accounts for converter efficiency itself. \p i is not checked.
   void inject_charge(std::size_t i, double coulombs) noexcept;
 
   /// OCV characteristic shared by every cell of the batch.
@@ -66,6 +72,7 @@ class CellBatch {
 
   // Hot per-cell state, one lane per quantity.
   std::vector<double> soc_;
+  std::vector<double> ocv_;  // curve_.voltage(soc_[i]), refreshed with soc_
   std::vector<double> capacity_ah_;
   std::vector<double> v_rc1_;
   std::vector<double> v_rc2_;
@@ -100,10 +107,8 @@ class CellConstView {
     // Discharge current drops voltage across R0 and drives the RC branches.
     return open_circuit_voltage() - current_a * params().r0_ohm - v_rc1() - v_rc2();
   }
-  /// Open-circuit voltage at the present SoC [V].
-  [[nodiscard]] double open_circuit_voltage() const noexcept {
-    return batch_->curve_.voltage(soc());
-  }
+  /// Open-circuit voltage at the present SoC [V] (the batch's OCV lane).
+  [[nodiscard]] double open_circuit_voltage() const noexcept { return batch_->ocv_[index_]; }
   /// Cell temperature [degC].
   [[nodiscard]] double temperature_c() const noexcept { return batch_->temp_c_[index_]; }
   /// Present (faded) capacity [Ah].

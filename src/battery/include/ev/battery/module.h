@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ev/battery/cell.h"
@@ -44,6 +46,13 @@ class SeriesModule {
   void set_bleed(std::size_t i, bool on);
   /// True when the bleed switch of cell \p i is closed.
   [[nodiscard]] bool bleed_engaged(std::size_t i) const;
+  /// Releases every bleed switch.
+  void clear_bleed() noexcept;
+  /// Bleed switch states, one per cell (nonzero = closed), for whole-module
+  /// sweeps; indexes into the span are not checked, unlike set_bleed() and
+  /// bleed_engaged().
+  [[nodiscard]] std::span<std::uint8_t> bleed_flags() noexcept { return bleed_on_; }
+  [[nodiscard]] std::span<const std::uint8_t> bleed_flags() const noexcept { return bleed_on_; }
 
   /// Commands the active unit to move charge from cell \p from to cell
   /// \p to at the hardware transfer current until changed or cleared.
@@ -74,6 +83,12 @@ class SeriesModule {
     check_index(i);
     return CellView{batch_, i};
   }
+  /// The cell lanes, for whole-module sweeps that index every cell in
+  /// [0, cell_count()) through CellConstView without a per-cell check.
+  [[nodiscard]] const CellBatch& batch() const noexcept { return batch_; }
+  /// Lossless charge transfer of \p coulombs into (+) or out of (-) every
+  /// cell, as a converter tapping the whole series string delivers it.
+  void inject_charge_all(double coulombs) noexcept;
   /// Lowest true SoC across cells.
   [[nodiscard]] double min_soc() const noexcept;
   /// Highest true SoC across cells.
@@ -91,7 +106,7 @@ class SeriesModule {
   void check_index(std::size_t i) const;
 
   CellBatch batch_;
-  std::vector<bool> bleed_on_;
+  std::vector<std::uint8_t> bleed_on_;
   BalancingHardware hw_;
   bool transfer_active_ = false;
   std::size_t transfer_from_ = 0;

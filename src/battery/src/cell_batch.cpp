@@ -22,6 +22,8 @@ CellBatch::CellBatch(const std::vector<CellInit>& cells, OcvCurve curve)
     temp_c_.push_back(c.temp_c);
     params_.push_back(c.params);
   }
+  ocv_.reserve(n);
+  for (const double soc : soc_) ocv_.push_back(curve_.voltage(soc));
   v_rc1_.assign(n, 0.0);
   v_rc2_.assign(n, 0.0);
   throughput_ah_.assign(n, 0.0);
@@ -61,6 +63,7 @@ BatchStatus CellBatch::step_all(std::span<const double> current_a,
     const double dq = amps * dt_s;  // coulombs removed (positive = discharge)
     const double cap_c = capacity_ah_[i] * 3600.0;
     soc_[i] = util::clamp(soc_[i] - dq / cap_c, 0.0, 1.0);
+    ocv_[i] = curve_.voltage(soc_[i]);
     throughput_ah_[i] += std::fabs(dq) / 3600.0;
 
     // --- Polarization branches (exact first-order update, cached factors) --
@@ -107,6 +110,7 @@ BatchStatus CellBatch::step_all(std::span<const double> current_a,
 void CellBatch::inject_charge(std::size_t i, double coulombs) noexcept {
   const double cap_c = capacity_ah_[i] * 3600.0;
   soc_[i] = util::clamp(soc_[i] + coulombs / cap_c, 0.0, 1.0);
+  ocv_[i] = curve_.voltage(soc_[i]);
 }
 
 }  // namespace ev::battery

@@ -9,7 +9,7 @@ namespace ev::battery {
 SeriesModule::SeriesModule(const std::vector<CellInit>& cells, OcvCurve curve,
                            BalancingHardware hw)
     : batch_(cells, std::move(curve)), hw_(hw) {
-  bleed_on_.assign(batch_.size(), false);
+  bleed_on_.assign(batch_.size(), 0);
   scratch_current_.resize(batch_.size());
   scratch_heat_.resize(batch_.size());
 }
@@ -18,9 +18,11 @@ void SeriesModule::check_index(std::size_t i) const {
   if (i >= batch_.size()) throw std::out_of_range("SeriesModule: cell index out of range");
 }
 
-void SeriesModule::set_bleed(std::size_t i, bool on) { bleed_on_.at(i) = on; }
+void SeriesModule::set_bleed(std::size_t i, bool on) { bleed_on_.at(i) = on ? 1 : 0; }
 
-bool SeriesModule::bleed_engaged(std::size_t i) const { return bleed_on_.at(i); }
+bool SeriesModule::bleed_engaged(std::size_t i) const { return bleed_on_.at(i) != 0; }
+
+void SeriesModule::clear_bleed() noexcept { std::fill(bleed_on_.begin(), bleed_on_.end(), 0); }
 
 void SeriesModule::command_transfer(std::size_t from, std::size_t to) {
   if (from >= batch_.size() || to >= batch_.size())
@@ -78,6 +80,10 @@ ModuleStatus SeriesModule::step(double current_a, double dt_s, double ambient_c)
     batch_.inject_charge(transfer_to_, transfer_in_c);
   }
   return status;
+}
+
+void SeriesModule::inject_charge_all(double coulombs) noexcept {
+  for (std::size_t i = 0; i < batch_.size(); ++i) batch_.inject_charge(i, coulombs);
 }
 
 double SeriesModule::terminal_voltage(double current_a) const noexcept {

@@ -48,13 +48,11 @@ PackStatus Pack::step(double current_a, double dt_s, double ambient_c) {
     const double eta = from.hardware().transfer_efficiency;
     double dq = i_t * dt_s;
     for (std::size_t c = 0; c < from.cell_count(); ++c)
-      dq = std::min(dq, from.cell(c).charge_coulomb());
-    for (std::size_t c = 0; c < from.cell_count(); ++c)
-      from.cell(c).inject_charge(-dq);
-    for (std::size_t c = 0; c < to.cell_count(); ++c)
-      to.cell(c).inject_charge(dq * eta);
+      dq = std::min(dq, CellConstView{from.batch(), c}.charge_coulomb());
+    from.inject_charge_all(-dq);
+    to.inject_charge_all(dq * eta);
     module_transfer_loss_j_ +=
-        dq * (1.0 - eta) * from.cell(0).open_circuit_voltage() *
+        dq * (1.0 - eta) * CellConstView{from.batch(), 0}.open_circuit_voltage() *
         static_cast<double>(from.cell_count());
   }
 
@@ -80,7 +78,8 @@ double Pack::terminal_voltage(double current_a) const noexcept {
 double Pack::open_circuit_voltage() const noexcept {
   double v = 0.0;
   for (const auto& m : modules_)
-    for (std::size_t i = 0; i < m.cell_count(); ++i) v += m.cell(i).open_circuit_voltage();
+    for (std::size_t i = 0; i < m.cell_count(); ++i)
+      v += CellConstView{m.batch(), i}.open_circuit_voltage();
   return v;
 }
 
@@ -107,7 +106,7 @@ double Pack::mean_soc() const noexcept {
   std::size_t n = 0;
   for (const auto& m : modules_) {
     for (std::size_t i = 0; i < m.cell_count(); ++i) {
-      sum += m.cell(i).soc();
+      sum += CellConstView{m.batch(), i}.soc();
       ++n;
     }
   }
@@ -118,12 +117,13 @@ double Pack::usable_energy_wh() const noexcept {
   // Series string: discharge ends when the weakest cell reaches empty, so the
   // usable charge equals the minimum cell charge, delivered at the string's
   // summed nominal voltage.
-  double min_charge_c = modules_.front().cell(0).charge_coulomb();
+  double min_charge_c = CellConstView{modules_.front().batch(), 0}.charge_coulomb();
   double voltage_sum = 0.0;
   for (const auto& m : modules_) {
     for (std::size_t i = 0; i < m.cell_count(); ++i) {
-      min_charge_c = std::min(min_charge_c, m.cell(i).charge_coulomb());
-      voltage_sum += m.cell(i).open_circuit_voltage();
+      const CellConstView cell{m.batch(), i};
+      min_charge_c = std::min(min_charge_c, cell.charge_coulomb());
+      voltage_sum += cell.open_circuit_voltage();
     }
   }
   return min_charge_c * voltage_sum / 3600.0;

@@ -50,7 +50,8 @@ class BatteryManager {
   BatteryManager(const battery::Pack& pack, BmsConfig config);
 
   /// One BMS period: per-module measurement/estimation/balancing, pack-level
-  /// safety evaluation, contactor command, report synthesis.
+  /// safety evaluation, contactor command, report synthesis. Allocates
+  /// nothing: the module sweep writes straight into the pack-length lanes.
   BmsReport step(battery::Pack& pack, double dt_s, util::Rng& rng);
 
   /// Last produced report.
@@ -77,6 +78,12 @@ class BatteryManager {
   [[nodiscard]] std::unique_ptr<BalancingStrategy> make_strategy() const;
 
   BmsConfig config_;
+  // Pack-length per-cell lanes in module-major order; each manager reads and
+  // writes its own subspan (moving the vectors keeps their buffers, so the
+  // subspans stay valid when the BatteryManager moves).
+  std::vector<double> voltages_;
+  std::vector<double> temperatures_;
+  std::vector<double> estimates_;
   std::vector<ModuleManager> managers_;
   SafetyMonitor safety_;
   BmsReport report_;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ev/battery/module.h"
@@ -19,43 +20,47 @@ namespace ev::bms {
 /// Which SoC estimator each cell runs.
 enum class EstimatorKind { kCoulombCounting, kVoltageCorrected };
 
+/// Per-cell lanes a ModuleManager reads and writes, one element per cell of
+/// its module. The BatteryManager hands each manager subspans of pack-length
+/// lanes, so one sweep fills the pack-wide arrays the safety monitor and the
+/// report read.
+struct ModuleLanes {
+  std::span<double> voltage;      ///< Measured terminal voltage [V].
+  std::span<double> temperature;  ///< Measured temperature [degC].
+  std::span<double> estimate;     ///< Estimated SoC (the estimator state).
+};
+
 /// Per-module BMS controller. Holds no reference to the module; the module
 /// is passed to step() so the manager can be wired to any instance (and so
 /// ownership stays with the battery pack).
 class ModuleManager {
  public:
-  /// Creates a manager for a module with \p cell_count cells whose believed
-  /// capacity is \p capacity_ah, starting every estimate at \p initial_soc.
-  ModuleManager(std::size_t cell_count, double capacity_ah, double initial_soc,
+  /// Creates a manager over \p lanes (three equally sized, non-empty spans
+  /// that must outlive it) for a module whose believed cell capacity is
+  /// \p capacity_ah, starting every estimate at \p initial_soc.
+  ModuleManager(ModuleLanes lanes, double capacity_ah, double initial_soc,
                 EstimatorKind estimator, std::shared_ptr<const battery::OcvCurve> curve,
                 double r0_ohm, std::unique_ptr<BalancingStrategy> strategy);
 
-  /// One BMS period: measure every cell through the sensors, update the
-  /// estimators with \p sensed_string_current_a, and run the balancing
-  /// policy on \p module against \p pack_target_soc (pass 1.0 / a local
-  /// value when no pack-wide target is known yet). Randomness for sensor
-  /// noise comes from \p rng.
+  /// One BMS period: measure every cell through the sensors (voltage then
+  /// temperature, cell by cell), update the estimators with
+  /// \p sensed_string_current_a, and run the balancing policy on \p module
+  /// against \p pack_target_soc (pass 1.0 / a local value when no pack-wide
+  /// target is known yet). Randomness for sensor noise comes from \p rng.
   void step(battery::SeriesModule& module, double sensed_string_current_a, double dt_s,
             util::Rng& rng, double pack_target_soc = 1.0);
 
-  /// Estimated SoC per cell after the last step().
-  [[nodiscard]] const std::vector<double>& estimated_soc() const noexcept {
-    return estimates_;
-  }
-  /// Measured terminal voltages per cell after the last step() [V].
-  [[nodiscard]] const std::vector<double>& measured_voltages() const noexcept {
-    return voltages_;
-  }
-  /// Measured temperatures per cell after the last step() [degC].
-  [[nodiscard]] const std::vector<double>& measured_temperatures() const noexcept {
-    return temperatures_;
+  /// Estimated SoC per cell after the last step() (the estimate lane; the
+  /// measurements are read from the lanes' owner).
+  [[nodiscard]] std::span<const double> estimated_soc() const noexcept {
+    return lanes_.estimate;
   }
   /// The balancing policy in force.
   [[nodiscard]] const BalancingStrategy& strategy() const noexcept { return *strategy_; }
   /// True when the policy reports the module balanced.
   [[nodiscard]] bool balanced() const;
   /// Cells supervised by this manager.
-  [[nodiscard]] std::size_t cell_count() const noexcept { return estimates_.size(); }
+  [[nodiscard]] std::size_t cell_count() const noexcept { return lanes_.estimate.size(); }
 
   /// Injects \p fault into the voltage sensor of local cell \p cell (throws
   /// std::out_of_range past the module). Used by the fault-injection layer;
@@ -68,9 +73,9 @@ class ModuleManager {
  private:
   // Every cell of a module runs the same estimator with the same believed
   // parameters, so the per-cell estimator state is just the estimate itself
-  // (stored in estimates_) and the shared parameters live once here; step()
-  // applies the update law (see soc_estimator.h) inline over the whole
-  // module instead of virtual-dispatching per cell.
+  // (the estimate lane) and the shared parameters live once here; step()
+  // applies the update law of soc_estimator.h over the whole module instead
+  // of virtual-dispatching per cell.
   EstimatorKind estimator_kind_;
   double capacity_ah_;
   double r0_ohm_;
@@ -79,9 +84,7 @@ class ModuleManager {
   std::vector<battery::VoltageSensor> voltage_sensors_;
   std::vector<battery::TemperatureSensor> temperature_sensors_;
   std::unique_ptr<BalancingStrategy> strategy_;
-  std::vector<double> estimates_;
-  std::vector<double> voltages_;
-  std::vector<double> temperatures_;
+  ModuleLanes lanes_;
 };
 
 }  // namespace ev::bms

@@ -67,7 +67,9 @@ class SafetyMonitor {
   SafetyAction evaluate(std::span<const double> voltages,
                         std::span<const double> temperatures, double pack_current_a);
 
-  /// Faults latched so far (deduplicated by kind+cell).
+  /// Faults latched so far, one record per (kind, cell): the first
+  /// offending value is kept, later violations of a latched pair add
+  /// nothing (thermal runaway included, which latches without debounce).
   [[nodiscard]] const std::vector<FaultRecord>& faults() const noexcept { return faults_; }
   /// True once the monitor has requested contactor opening.
   [[nodiscard]] bool tripped() const noexcept { return tripped_; }
@@ -77,7 +79,12 @@ class SafetyMonitor {
   [[nodiscard]] const SafetyLimits& limits() const noexcept { return limits_; }
 
  private:
-  void count_violation(FaultKind kind, std::size_t cell, double value, bool violating);
+  void count_violation(FaultKind kind, std::size_t cell, double value, bool violating) {
+    // A healthy sample with no debounce pending has nothing to clear.
+    if (violating || !counters_.empty()) debounce(kind, cell, value, violating);
+  }
+  void debounce(FaultKind kind, std::size_t cell, double value, bool violating);
+  void latch(FaultKind kind, std::size_t cell, double value);
 
   SafetyLimits limits_;
   // Debounce counters keyed by (kind, cell); stored sparsely.

@@ -8,8 +8,33 @@
 #include <memory>
 
 #include "ev/battery/ocv_curve.h"
+#include "ev/util/math.h"
 
 namespace ev::bms {
+
+/// Coulomb-counting update law: \p soc advanced by \p dt_s of sensed cell
+/// current \p current_a (positive = discharge) against the believed
+/// \p capacity_ah, clamped into [0, 1].
+[[nodiscard]] inline double coulomb_counting_update(double soc, double current_a,
+                                                    double dt_s, double capacity_ah) noexcept {
+  return util::clamp(soc - current_a * dt_s / (capacity_ah * 3600.0), 0.0, 1.0);
+}
+
+/// Voltage-corrected update law: the coulomb-counting prediction, then
+/// \p gain times the residual between the OCV implied by the sensed terminal
+/// voltage \p voltage_v (backed out through the believed \p r0_ohm) and the
+/// OCV \p curve gives for the prediction, clamped into [0, 1].
+[[nodiscard]] inline double voltage_corrected_update(double soc, double current_a,
+                                                     double voltage_v, double dt_s,
+                                                     double capacity_ah,
+                                                     const battery::OcvCurve& curve,
+                                                     double r0_ohm, double gain) noexcept {
+  soc -= current_a * dt_s / (capacity_ah * 3600.0);
+  const double ocv_measured = voltage_v + current_a * r0_ohm;
+  const double residual_v = ocv_measured - curve.voltage(soc);
+  soc += gain * residual_v * dt_s;
+  return util::clamp(soc, 0.0, 1.0);
+}
 
 /// Interface of a per-cell SoC estimator. update() is called once per BMS
 /// period with that period's sensed current and voltage.

@@ -1,6 +1,7 @@
 #include "ev/bms/balancing.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace ev::bms {
 
@@ -12,7 +13,7 @@ double soc_spread(std::span<const double> estimated_soc) noexcept {
 
 void NoBalancer::decide(std::span<const double> /*estimated_soc*/,
                         battery::SeriesModule& module, double /*pack_target_soc*/) {
-  for (std::size_t i = 0; i < module.cell_count(); ++i) module.set_bleed(i, false);
+  module.clear_bleed();
   module.clear_transfer();
 }
 
@@ -26,8 +27,9 @@ void PassiveBalancer::decide(std::span<const double> estimated_soc,
   // Bleed toward the pack-wide weakest cell (never above the local minimum,
   // which would waste energy without improving the string).
   const double target = std::min(local_min, pack_target_soc);
-  for (std::size_t i = 0; i < module.cell_count() && i < estimated_soc.size(); ++i)
-    module.set_bleed(i, estimated_soc[i] > target + tolerance_);
+  const std::span<std::uint8_t> bleed = module.bleed_flags();
+  for (std::size_t i = 0; i < bleed.size() && i < estimated_soc.size(); ++i)
+    bleed[i] = estimated_soc[i] > target + tolerance_ ? 1 : 0;
 }
 
 bool PassiveBalancer::converged(std::span<const double> estimated_soc) const {
@@ -36,7 +38,7 @@ bool PassiveBalancer::converged(std::span<const double> estimated_soc) const {
 
 void ActiveBalancer::decide(std::span<const double> estimated_soc,
                             battery::SeriesModule& module, double /*pack_target_soc*/) {
-  for (std::size_t i = 0; i < module.cell_count(); ++i) module.set_bleed(i, false);
+  module.clear_bleed();
   if (estimated_soc.empty()) {
     module.clear_transfer();
     return;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 namespace ev::bms {
@@ -18,15 +19,25 @@ std::unique_ptr<BalancingStrategy> BatteryManager::make_strategy() const {
 }
 
 BatteryManager::BatteryManager(const battery::Pack& pack, BmsConfig config)
-    : config_(config), safety_(config.safety_limits) {
+    : config_(config),
+      voltages_(pack.cell_count()),
+      temperatures_(pack.cell_count()),
+      estimates_(pack.cell_count()),
+      safety_(config.safety_limits) {
   managers_.reserve(pack.module_count());
+  std::size_t first = 0;
   for (std::size_t m = 0; m < pack.module_count(); ++m) {
     const battery::SeriesModule& mod = pack.module(m);
+    const std::size_t n = mod.cell_count();
+    const ModuleLanes lanes{std::span(voltages_).subspan(first, n),
+                            std::span(temperatures_).subspan(first, n),
+                            std::span(estimates_).subspan(first, n)};
+    first += n;
     const auto c0 = mod.cell(0);
     auto curve = std::make_shared<const battery::OcvCurve>(c0.ocv_curve());
-    managers_.emplace_back(mod.cell_count(), c0.params().capacity_ah,
-                           config.initial_soc_estimate, config.estimator, std::move(curve),
-                           c0.params().r0_ohm, make_strategy());
+    managers_.emplace_back(lanes, c0.params().capacity_ah, config.initial_soc_estimate,
+                           config.estimator, std::move(curve), c0.params().r0_ohm,
+                           make_strategy());
   }
 }
 
@@ -60,27 +71,12 @@ BmsReport BatteryManager::step(battery::Pack& pack, double dt_s, util::Rng& rng)
   // Pack-wide equalization target from the previous period's estimates (the
   // central manager's contribution to the hierarchical architecture).
   double pack_target = 1.0;
-  for (const ModuleManager& mm : managers_)
-    for (double est : mm.estimated_soc()) pack_target = std::min(pack_target, est);
-
-  std::vector<double> all_voltages;
-  std::vector<double> all_temps;
-  std::vector<double> all_estimates;
-  all_voltages.reserve(pack.cell_count());
-  all_temps.reserve(pack.cell_count());
-  all_estimates.reserve(pack.cell_count());
+  for (double est : estimates_) pack_target = std::min(pack_target, est);
 
   bool balanced = true;
   for (std::size_t m = 0; m < managers_.size(); ++m) {
     managers_[m].step(pack.module(m), sensed_current, dt_s, rng, pack_target);
-    const auto& mm = managers_[m];
-    all_voltages.insert(all_voltages.end(), mm.measured_voltages().begin(),
-                        mm.measured_voltages().end());
-    all_temps.insert(all_temps.end(), mm.measured_temperatures().begin(),
-                     mm.measured_temperatures().end());
-    all_estimates.insert(all_estimates.end(), mm.estimated_soc().begin(),
-                         mm.estimated_soc().end());
-    balanced = balanced && mm.balanced();
+    balanced = balanced && managers_[m].balanced();
   }
 
   // Active balancing across module boundaries: move charge from the module
@@ -103,20 +99,20 @@ BmsReport BatteryManager::step(battery::Pack& pack, double dt_s, util::Rng& rng)
     balanced = balanced && hi_mean - lo_mean <= config_.balance_tolerance;
   }
 
-  report_.action = safety_.evaluate(all_voltages, all_temps, sensed_current);
+  report_.action = safety_.evaluate(voltages_, temperatures_, sensed_current);
   if (report_.action == SafetyAction::kOpenContactor) pack.open_contactor();
 
-  const auto [vmin, vmax] = std::minmax_element(all_voltages.begin(), all_voltages.end());
-  const auto [smin, smax] = std::minmax_element(all_estimates.begin(), all_estimates.end());
+  const auto [vmin, vmax] = std::minmax_element(voltages_.begin(), voltages_.end());
+  const auto [smin, smax] = std::minmax_element(estimates_.begin(), estimates_.end());
   report_.min_cell_voltage = *vmin;
   report_.max_cell_voltage = *vmax;
-  report_.max_temperature_c = *std::max_element(all_temps.begin(), all_temps.end());
+  report_.max_temperature_c = *std::max_element(temperatures_.begin(), temperatures_.end());
   report_.min_cell_soc = *smin;
   report_.max_cell_soc = *smax;
   report_.soc_spread = *smax - *smin;
   double sum = 0.0;
-  for (double s : all_estimates) sum += s;
-  report_.pack_soc = sum / static_cast<double>(all_estimates.size());
+  for (double s : estimates_) sum += s;
+  report_.pack_soc = sum / static_cast<double>(estimates_.size());
   report_.balanced = balanced;
 
   // Power limits: full capability in the green zone, linear derating in the

@@ -18,8 +18,16 @@ std::string to_string(FaultKind kind) {
 
 SafetyMonitor::SafetyMonitor(SafetyLimits limits) : limits_(limits) {}
 
-void SafetyMonitor::count_violation(FaultKind kind, std::size_t cell, double value,
-                                    bool violating) {
+void SafetyMonitor::latch(FaultKind kind, std::size_t cell, double value) {
+  const bool already = std::any_of(faults_.begin(), faults_.end(), [&](const FaultRecord& f) {
+    return f.kind == kind && f.cell_index == cell;
+  });
+  if (!already) faults_.push_back(FaultRecord{kind, cell, value});
+  tripped_ = true;
+}
+
+void SafetyMonitor::debounce(FaultKind kind, std::size_t cell, double value,
+                             bool violating) {
   auto it = std::find_if(counters_.begin(), counters_.end(), [&](const Counter& c) {
     return c.kind == kind && c.cell == cell;
   });
@@ -33,13 +41,7 @@ void SafetyMonitor::count_violation(FaultKind kind, std::size_t cell, double val
   } else {
     ++it->count;
   }
-  if (it->count >= limits_.debounce_samples) {
-    const bool already = std::any_of(faults_.begin(), faults_.end(), [&](const FaultRecord& f) {
-      return f.kind == kind && f.cell_index == cell;
-    });
-    if (!already) faults_.push_back(FaultRecord{kind, cell, value});
-    tripped_ = true;
-  }
+  if (it->count >= limits_.debounce_samples) latch(kind, cell, value);
 }
 
 SafetyAction SafetyMonitor::evaluate(std::span<const double> voltages,
@@ -59,10 +61,7 @@ SafetyAction SafetyMonitor::evaluate(std::span<const double> voltages,
     count_violation(FaultKind::kOvertemperature, i, t, t > limits_.max_temperature_c);
     // Thermal runaway onset is immediate (no debounce): the reaction time
     // budget is too small to wait for confirmation samples.
-    if (t > limits_.max_temperature_c + 20.0) {
-      faults_.push_back(FaultRecord{FaultKind::kThermalRunaway, i, t});
-      tripped_ = true;
-    }
+    if (t > limits_.max_temperature_c + 20.0) latch(FaultKind::kThermalRunaway, i, t);
     if (t > limits_.warn_temperature_c) warn_ = true;
   }
   count_violation(FaultKind::kOvercurrent, 0, pack_current_a,

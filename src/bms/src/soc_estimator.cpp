@@ -13,7 +13,7 @@ CoulombCountingEstimator::CoulombCountingEstimator(double capacity_ah, double in
 }
 
 void CoulombCountingEstimator::update(double current_a, double /*voltage_v*/, double dt_s) {
-  soc_ = util::clamp(soc_ - current_a * dt_s / (capacity_ah_ * 3600.0), 0.0, 1.0);
+  soc_ = coulomb_counting_update(soc_, current_a, dt_s, capacity_ah_);
 }
 
 void CoulombCountingEstimator::reset(double soc) noexcept {
@@ -34,14 +34,8 @@ VoltageCorrectedEstimator::VoltageCorrectedEstimator(
 }
 
 void VoltageCorrectedEstimator::update(double current_a, double voltage_v, double dt_s) {
-  // Prediction: coulomb counting.
-  soc_ -= current_a * dt_s / (capacity_ah_ * 3600.0);
-  // Correction: compare the OCV implied by the measurement with the OCV the
-  // estimate predicts, and inject the residual.
-  const double ocv_measured = voltage_v + current_a * r0_ohm_;
-  const double residual_v = ocv_measured - curve_->voltage(soc_);
-  soc_ += gain_ * residual_v * dt_s;
-  soc_ = util::clamp(soc_, 0.0, 1.0);
+  soc_ = voltage_corrected_update(soc_, current_a, voltage_v, dt_s, capacity_ah_, *curve_,
+                                  r0_ohm_, gain_);
 }
 
 void VoltageCorrectedEstimator::reset(double soc) noexcept {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include "ev/bms/balancing.h"
@@ -256,6 +259,22 @@ TEST(SafetyMonitor, ThermalRunawayIsImmediate) {
   EXPECT_TRUE(found);
 }
 
+TEST(SafetyMonitor, ThermalRunawayLatchesOnce) {
+  SafetyMonitor mon;
+  const std::vector<double> v{3.7};
+  const std::vector<double> hot{mon.limits().max_temperature_c + 25.0};
+  EXPECT_EQ(mon.evaluate(v, hot, 0.0), SafetyAction::kOpenContactor);
+  EXPECT_TRUE(mon.tripped());  // no debounce: the first hot sample trips
+  for (int i = 1; i < 100; ++i) (void)mon.evaluate(v, hot, 0.0);
+  const auto runaway = std::count_if(mon.faults().begin(), mon.faults().end(),
+                                     [](const FaultRecord& f) {
+                                       return f.kind == FaultKind::kThermalRunaway &&
+                                              f.cell_index == 0;
+                                     });
+  EXPECT_EQ(runaway, 1);
+  EXPECT_EQ(mon.faults().size(), 2u);  // plus the debounced overtemperature
+}
+
 TEST(SafetyMonitor, OvercurrentBothDirections) {
   SafetyMonitor mon;
   const std::vector<double> v{3.7};
@@ -397,22 +416,154 @@ TEST(ModuleManager, MeasuresThroughSensors) {
   ev::util::Rng rng(29);
   SeriesModule module({{cell_params(), 0.6}, {cell_params(), 0.6}}, OcvCurve::nmc());
   auto curve = std::make_shared<const OcvCurve>(OcvCurve::nmc());
-  ModuleManager mm(2, 10.0, 0.6, EstimatorKind::kVoltageCorrected, curve, 0.0015,
+  std::vector<double> voltages(2), temperatures(2), estimates(2);
+  ModuleManager mm({voltages, temperatures, estimates}, 10.0, 0.6,
+                   EstimatorKind::kVoltageCorrected, curve, 0.0015,
                    std::make_unique<PassiveBalancer>());
   mm.step(module, 0.0, 1.0, rng);
-  ASSERT_EQ(mm.measured_voltages().size(), 2u);
-  EXPECT_NEAR(mm.measured_voltages()[0], module.cell(0).terminal_voltage(0.0), 0.01);
+  EXPECT_NEAR(voltages[0], module.cell(0).terminal_voltage(0.0), 0.01);
+  EXPECT_NEAR(temperatures[0], module.cell(0).temperature_c(), 1.0);
   EXPECT_NEAR(mm.estimated_soc()[0], 0.6, 0.05);
 }
 
 TEST(ModuleManager, RejectsBadConstruction) {
   auto curve = std::make_shared<const OcvCurve>(OcvCurve::nmc());
-  EXPECT_THROW(ModuleManager(0, 10.0, 0.5, EstimatorKind::kCoulombCounting, curve, 0.001,
+  std::vector<double> voltages(2), temperatures(2), estimates(2);
+  EXPECT_THROW(ModuleManager(ModuleLanes{}, 10.0, 0.5, EstimatorKind::kCoulombCounting, curve,
+                             0.001, std::make_unique<NoBalancer>()),
+               std::invalid_argument);
+  EXPECT_THROW(ModuleManager({voltages, temperatures, estimates}, 10.0, 0.5,
+                             EstimatorKind::kCoulombCounting, curve, 0.001, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(ModuleManager({voltages, std::span(temperatures).first(1), estimates}, 10.0,
+                             0.5, EstimatorKind::kCoulombCounting, curve, 0.001,
                              std::make_unique<NoBalancer>()),
                std::invalid_argument);
-  EXPECT_THROW(ModuleManager(2, 10.0, 0.5, EstimatorKind::kCoulombCounting, curve, 0.001,
-                             nullptr),
-               std::invalid_argument);
+}
+
+// ------------------------------------------------- per-step pack sweep ----
+
+// FNV-1a over the bit patterns of every value fed in.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void f64(double v) { bytes(&v, sizeof v); }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+};
+
+void expect_ocv_lane_exact(const Pack& pack) {
+  for (std::size_t m = 0; m < pack.module_count(); ++m)
+    for (std::size_t c = 0; c < pack.module(m).cell_count(); ++c) {
+      const CellConstView cell = pack.module(m).cell(c);
+      const double looked_up = cell.ocv_curve().voltage(cell.soc());
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(cell.open_circuit_voltage()),
+                std::bit_cast<std::uint64_t>(looked_up))
+          << "module " << m << " cell " << c;
+    }
+}
+
+// Drives a 3x4 pack and its BMS for 2,000 one-second periods through a
+// stuck voltage sensor, a drifting temperature sensor, direct charge
+// injection and a pack-level module transfer, and digests every BmsReport
+// field, every cell's state and the latched faults.
+std::uint64_t sweep_digest(BalancingKind balancing, bool lfp, EstimatorKind estimator) {
+  ev::util::Rng rng(77);
+  PackConfig pc;
+  pc.module_count = 3;
+  pc.cells_per_module = 4;
+  pc.initial_soc = 0.6;
+  pc.soc_spread_sigma = 0.02;
+  pc.use_lfp_chemistry = lfp;
+  Pack pack(pc, rng);
+  BmsConfig bc;
+  bc.balancing = balancing;
+  bc.estimator = estimator;
+  bc.initial_soc_estimate = 0.62;
+  BatteryManager bms(pack, bc);
+
+  Fnv fnv;
+  for (int k = 0; k < 2000; ++k) {
+    if (k == 100) {
+      pack.module(1).cell(2).inject_charge(-0.03 * pack.module(1).cell(2).charge_coulomb());
+      expect_ocv_lane_exact(pack);
+    }
+    if (k == 200) {
+      SensorFault drift;
+      drift.mode = SensorFaultMode::kOffsetDrift;
+      drift.drift_per_sample = 0.02;
+      bms.inject_temperature_sensor_fault(5, drift);
+    }
+    if (k == 400) pack.command_module_transfer(0, 2);
+    if (k == 700) pack.clear_module_transfer();
+    if (k == 1600) {
+      SensorFault stuck;
+      stuck.mode = SensorFaultMode::kStuckAt;
+      stuck.stuck_value = 4.5;
+      bms.inject_voltage_sensor_fault(7, stuck);
+    }
+    const double current = k % 200 < 120 ? 35.0 : -20.0;
+    (void)pack.step(current, 1.0);
+    expect_ocv_lane_exact(pack);
+    const BmsReport r = bms.step(pack, 1.0, rng);
+    expect_ocv_lane_exact(pack);
+    for (double v : {r.pack_soc, r.min_cell_soc, r.max_cell_soc, r.soc_spread,
+                     r.min_cell_voltage, r.max_cell_voltage, r.max_temperature_c,
+                     r.discharge_power_limit_w, r.charge_power_limit_w})
+      fnv.f64(v);
+    fnv.u64(static_cast<std::uint64_t>(r.action));
+    fnv.u64(r.balanced ? 1 : 0);
+    for (std::size_t m = 0; m < pack.module_count(); ++m)
+      for (std::size_t c = 0; c < pack.module(m).cell_count(); ++c) {
+        const CellConstView cell = pack.module(m).cell(c);
+        for (double v : {cell.soc(), cell.open_circuit_voltage(), cell.v_rc1(), cell.v_rc2(),
+                         cell.temperature_c(), cell.capacity_ah()})
+          fnv.f64(v);
+      }
+  }
+  for (const FaultRecord& f : bms.safety().faults()) {
+    fnv.u64(static_cast<std::uint64_t>(f.kind));
+    fnv.u64(f.cell_index);
+    fnv.f64(f.value);
+  }
+  return fnv.h;
+}
+
+struct SweepCase {
+  BalancingKind balancing;
+  bool lfp;
+  EstimatorKind estimator;
+  std::uint64_t digest;  // captured before the sweep was fused
+};
+
+TEST(PackSweep, BitExactInEveryBmsConfiguration) {
+  using B = BalancingKind;
+  using E = EstimatorKind;
+  const std::array<SweepCase, 12> cases{{
+      {B::kNone, false, E::kCoulombCounting, 0xcc4fc1ec53ee59feULL},
+      {B::kNone, false, E::kVoltageCorrected, 0x7c0f385c72bd1559ULL},
+      {B::kNone, true, E::kCoulombCounting, 0xecb29f3e72aa5785ULL},
+      {B::kNone, true, E::kVoltageCorrected, 0x5d3b4575ceb40d1dULL},
+      {B::kPassive, false, E::kCoulombCounting, 0x0dbab2e5a88da032ULL},
+      {B::kPassive, false, E::kVoltageCorrected, 0x889cc64eb810a0b8ULL},
+      {B::kPassive, true, E::kCoulombCounting, 0x8106ceabf95f855bULL},
+      {B::kPassive, true, E::kVoltageCorrected, 0x012fed9f69c8bee3ULL},
+      {B::kActive, false, E::kCoulombCounting, 0x373ef9d4f88a4caaULL},
+      {B::kActive, false, E::kVoltageCorrected, 0x69a865ad905decb3ULL},
+      {B::kActive, true, E::kCoulombCounting, 0x433864c2a6c0062aULL},
+      {B::kActive, true, E::kVoltageCorrected, 0x97afe449885aad26ULL},
+  }};
+  for (const SweepCase& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "balancing " << static_cast<int>(c.balancing)
+                                      << (c.lfp ? " LFP" : " NMC") << " estimator "
+                                      << static_cast<int>(c.estimator));
+    EXPECT_EQ(sweep_digest(c.balancing, c.lfp, c.estimator), c.digest);
+  }
 }
 
 }  // namespace

@@ -44,17 +44,24 @@ foreach(pair IN ITEMS
   compare_or_die("${work_dir}/${artifact}" "${golden_dir}/${artifact}" "${artifact}")
 endforeach()
 
-# --- evsys single run + seed-ladder campaign ---------------------------------
+# --- evsys single run of every shipped scenario + seed-ladder campaign -------
+# city_commute (active, NMC, obs on), limp_home (passive by default, faults),
+# the actively balanced 8x12 fuzzed_error_storm at 0.2 s control, and the LFP
+# fuzzed_highway_degraded without balancing: between them every balancing
+# policy and both chemistries of the pack sweep.
+foreach(name IN ITEMS city_commute limp_home fuzzed_error_storm fuzzed_highway_degraded)
+  execute_process(COMMAND "${EVSYS}" run "${SOURCE_DIR}/examples/scenarios/${name}.scn"
+                  --out "${work_dir}/${name}.result.json"
+                  RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "evsys run ${name}.scn failed with ${code}")
+  endif()
+  compare_or_die("${work_dir}/${name}.result.json"
+                 "${golden_dir}/golden_${name}.result.json"
+                 "evsys run report (${name})")
+endforeach()
+
 set(scenario "${SOURCE_DIR}/examples/scenarios/city_commute.scn")
-execute_process(COMMAND "${EVSYS}" run "${scenario}"
-                --out "${work_dir}/city_commute.result.json"
-                RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
-if(NOT code EQUAL 0)
-  message(FATAL_ERROR "evsys run failed with ${code}")
-endif()
-compare_or_die("${work_dir}/city_commute.result.json"
-               "${golden_dir}/golden_city_commute.result.json"
-               "evsys run report")
 
 execute_process(COMMAND "${EVSYS}" campaign "${scenario}" --seeds 4 --jobs 2
                 --out "${work_dir}/city_commute.campaign.json"
