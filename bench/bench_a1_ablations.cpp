@@ -92,7 +92,6 @@ void ablation_cbs_slope() {
                         {"idle slope", "class-A goodput", "best-effort goodput"});
   for (double slope : {0.10, 0.30, 0.50, 0.75}) {
     Simulator sim;
-    evbench::observe(sim);
     ev::network::EthernetSwitch sw(sim, "eth", 2);
     sw.attach(1, 0);
     sw.add_route(0x1, ev::network::EthRoute{{1}, ev::network::EthClass::kAvbClassA});
@@ -122,6 +121,7 @@ void ablation_cbs_slope() {
       }
     });
     sim.run_until(Time::ms(500));
+    evbench::count_kernel(sim);
     evbench::set_gauge("a1.cbs.class_a_mbit_s", class_a_bytes * 8.0 / 0.5 / 1e6);
     table.add_row({ev::util::fmt_pct(slope),
                    ev::util::fmt(class_a_bytes * 8.0 / 0.5 / 1e6, 1) + " Mbit/s",
@@ -139,7 +139,6 @@ void ablation_gate_window() {
                         {"TT window", "TT mean latency", "best-effort goodput"});
   for (double window_us : {50.0, 100.0, 200.0, 400.0}) {
     Simulator sim;
-    evbench::observe(sim);
     ev::network::EthernetSwitch sw(sim, "eth", 2);
     sw.attach(1, 0);
     sw.add_route(0x1, ev::network::EthRoute{{1}, ev::network::EthClass::kTimeTriggered});
@@ -174,6 +173,7 @@ void ablation_gate_window() {
       }
     });
     sim.run_until(Time::ms(500));
+    evbench::count_kernel(sim);
     table.add_row({ev::util::fmt(window_us, 0) + " us",
                    ev::util::fmt(tt_latency.mean() * 1e6, 1) + " us",
                    ev::util::fmt(be_bytes * 8.0 / 0.5 / 1e6, 1) + " Mbit/s"});

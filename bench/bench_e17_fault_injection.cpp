@@ -22,6 +22,7 @@
 #include "ev/middleware/health.h"
 #include "ev/middleware/middleware.h"
 #include "ev/network/can.h"
+#include "ev/obs/kernel_counters.h"
 #include "ev/sim/simulator.h"
 #include "ev/util/table.h"
 #include "harness.h"
@@ -60,7 +61,8 @@ struct CampaignReport {
 /// bus drop/corruption/bus-off plus a babbling idiot, all from one plan.
 CampaignReport run_campaign(std::uint64_t seed, ev::obs::MetricsRegistry* metrics) {
   Simulator sim;
-  if (metrics) evbench::observe(sim);
+  ev::obs::KernelCounters kernel;  // registered first: sim.* lead the snapshot
+  if (metrics) kernel = ev::obs::KernelCounters(*metrics);
   CampaignReport report;
 
   DegradationManager deg(sim);
@@ -146,10 +148,10 @@ CampaignReport run_campaign(std::uint64_t seed, ev::obs::MetricsRegistry* metric
   report.bus_corrupted = can.fault_corrupted_count();
   report.bus_busoff_rejected = can.busoff_rejected_count();
   report.bms_faults = bms.safety().faults().size();
-  // The campaign is over: detach the observer so the RAII teardown of the
+  // The campaign is over: count the kernel now, so the RAII teardown of the
   // actors below (their owned periodics cancel on destruction) stays out of
   // the exported kernel counters.
-  sim.set_observer(nullptr);
+  if (metrics) kernel.add(*metrics, sim);
   return report;
 }
 

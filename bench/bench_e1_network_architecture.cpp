@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "ev/network/topology.h"
+#include "ev/obs/kernel_counters.h"
 #include "ev/sim/simulator.h"
 #include "ev/util/table.h"
 #include "harness.h"
@@ -21,11 +22,12 @@ void run_experiment() {
   std::puts("E1 — Fig. 1 heterogeneous in-vehicle network (30 s simulated)\n");
 
   Simulator sim;
-  evbench::observe(sim);
+  const ev::obs::KernelCounters kernel(evbench::metrics());  // sim.* lead the snapshot
   Figure1Network net(sim);
   for (Bus* bus : net.buses()) bus->attach_observer(evbench::metrics());
   net.start();
   sim.run_until(Time::s(30));
+  kernel.add(evbench::metrics(), sim);
 
   ev::util::Table buses("per-bus load and latency",
                         {"bus", "bit rate", "utilization", "frames delivered",

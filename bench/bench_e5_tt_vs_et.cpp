@@ -40,7 +40,6 @@ constexpr std::uint32_t kControlId = 0x20;
 
 LatencyResult run_can(int background_senders, bool observed = false) {
   Simulator sim;
-  if (observed) evbench::observe(sim);
   CanBus bus(sim, "can", 500e3);
   auto rng = std::make_shared<ev::util::Rng>(97);
   ev::util::SampleSeries latency;
@@ -71,12 +70,12 @@ LatencyResult run_can(int background_senders, bool observed = false) {
     sim.schedule_in(Time::us(rng->uniform_int(0, 5000)), *send_next);
   }
   sim.run_until(Time::s(20));
+  if (observed) evbench::count_kernel(sim);
   return stats_of(latency);
 }
 
 LatencyResult run_flexray(int background_senders, bool observed = false) {
   Simulator sim;
-  if (observed) evbench::observe(sim);
   FlexRayConfig cfg;
   cfg.static_slots.push_back({kControlId, 1, 16});
   for (int k = 0; k < background_senders; ++k)
@@ -104,12 +103,12 @@ LatencyResult run_flexray(int background_senders, bool observed = false) {
     });
   }
   sim.run_until(Time::s(20));
+  if (observed) evbench::count_kernel(sim);
   return stats_of(latency);
 }
 
 LatencyResult run_tt_ethernet(int background_senders, bool observed = false) {
   Simulator sim;
-  if (observed) evbench::observe(sim);
   EthernetSwitch sw(sim, "eth", 2);
   sw.attach(1, 0);
   sw.add_route(kControlId, EthRoute{{1}, EthClass::kTimeTriggered});
@@ -146,6 +145,7 @@ LatencyResult run_tt_ethernet(int background_senders, bool observed = false) {
     });
   }
   sim.run_until(Time::s(20));
+  if (observed) evbench::count_kernel(sim);
   return stats_of(latency);
 }
 

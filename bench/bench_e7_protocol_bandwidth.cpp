@@ -28,7 +28,6 @@ struct Goodput {
 
 Goodput saturate_can(bool observed = false) {
   Simulator sim;
-  if (observed) evbench::observe(sim);
   CanBus bus(sim, "can", 500e3);
   bus.subscribe([](const Frame&, Time) {});
   // Offer more than the bus can carry; keep the queue primed.
@@ -41,13 +40,13 @@ Goodput saturate_can(bool observed = false) {
     }
   });
   sim.run_until(Time::s(10));
+  if (observed) evbench::count_kernel(sim);
   return Goodput{static_cast<double>(bus.delivered_payload_bytes()) * 8.0 / 10.0 / 1e6,
                  bus.latency().mean() * 1e3};
 }
 
 Goodput saturate_flexray(bool observed = false) {
   Simulator sim;
-  if (observed) evbench::observe(sim);
   FlexRayConfig cfg;
   // All 16 static slots in use, 32-byte payloads.
   cfg.static_payload_bytes = 32;
@@ -65,13 +64,13 @@ Goodput saturate_flexray(bool observed = false) {
     }
   });
   sim.run_until(Time::s(10));
+  if (observed) evbench::count_kernel(sim);
   return Goodput{static_cast<double>(bus.delivered_payload_bytes()) * 8.0 / 10.0 / 1e6,
                  bus.latency().mean() * 1e3};
 }
 
 Goodput saturate_ethernet(bool observed = false) {
   Simulator sim;
-  if (observed) evbench::observe(sim);
   EthernetSwitch sw(sim, "eth", 2);
   sw.attach(1, 0);
   sw.add_route(0x1, EthRoute{{1}, EthClass::kBestEffort});
@@ -87,6 +86,7 @@ Goodput saturate_ethernet(bool observed = false) {
     }
   });
   sim.run_until(Time::s(10));
+  if (observed) evbench::count_kernel(sim);
   return Goodput{static_cast<double>(sw.delivered_payload_bytes()) * 8.0 / 10.0 / 1e6,
                  sw.latency().mean() * 1e3};
 }

@@ -1,7 +1,7 @@
 /// \file harness.h
 /// Shared scaffolding for the experiment binaries. Each binary prints its
 /// experiment tables, exports the observability snapshot accumulated while
-/// doing so (BENCH_<experiment>.json — event counts, dispatch-latency stats,
+/// doing so (BENCH_<experiment>.json — event counts, histograms,
 /// subsystem gauges; plus a Chrome-trace file when spans were recorded), and
 /// then runs its registered google-benchmark microbenchmarks with a short
 /// default measuring time (override with the usual --benchmark_* flags).
@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "ev/obs/export.h"
+#include "ev/obs/kernel_counters.h"
 #include "ev/obs/metrics.h"
-#include "ev/obs/sim_observer.h"
 #include "ev/obs/span_trace.h"
 #include "ev/sim/simulator.h"
 #include "ev/util/worker_pool.h"
@@ -61,15 +61,13 @@ inline ev::obs::TraceLog& trace() {
   return log;
 }
 
-/// The shared simulator observer feeding metrics().
-inline ev::obs::SimObserver& sim_observer() {
-  static ev::obs::SimObserver observer(metrics());
-  return observer;
+/// Adds a finished simulator's own event counts to metrics(): the sim.*
+/// counters sum over every simulator counted, sim.queue_depth.peak keeps
+/// the largest. Only binaries that count a kernel export sim.* metrics.
+inline void count_kernel(const ev::sim::Simulator& sim) {
+  static const ev::obs::KernelCounters kernel(metrics());
+  kernel.add(metrics(), sim);
 }
-
-/// Attaches the shared observer to \p sim: its event count, dispatch-delay
-/// distribution, and queue-depth peak then accumulate into metrics().
-inline void observe(ev::sim::Simulator& sim) { sim.set_observer(&sim_observer()); }
 
 /// Records the experiment-specific gauge \p name = \p value.
 inline void set_gauge(std::string_view name, double value) {
@@ -144,7 +142,6 @@ inline bool export_metrics(const std::string& experiment) {
 /// by run_experiment(), then run the microbenchmarks. Exporting first keeps
 /// the snapshot deterministic — benchmark iteration counts never feed it.
 inline int finish(const std::string& experiment, int argc, char** argv) {
-  (void)sim_observer();  // every snapshot carries the standard sim.* metrics
   export_metrics(experiment);
   return run_registered_benchmarks(argc, argv);
 }

@@ -30,8 +30,8 @@
 #include "ev/faults/fault_plan.h"
 #include "ev/faults/network_faults.h"
 #include "ev/middleware/health.h"
+#include "ev/obs/kernel_counters.h"
 #include "ev/obs/metrics.h"
-#include "ev/obs/sim_observer.h"
 #include "ev/obs/span_trace.h"
 #include "ev/security/secure_channel.h"
 
@@ -43,10 +43,6 @@ inline constexpr std::uint32_t kFrameIdSecureTelemetry = 0x160;
 /// Observes kernel, buses, and middleware into one registry/span sink.
 class ObservabilitySubsystem final : public Subsystem {
  public:
-  /// Detaches the kernel observer: sibling subsystems destroyed later may
-  /// still cancel events (RAII handles), which notifies the observer.
-  ~ObservabilitySubsystem() override;
-
   [[nodiscard]] std::string_view name() const noexcept override { return "obs"; }
   void attach(VehicleSystem& vehicle) override;
   void after_run(VehicleSystem& vehicle, SubsystemSnapshot& out) override;
@@ -61,8 +57,7 @@ class ObservabilitySubsystem final : public Subsystem {
  private:
   obs::MetricsRegistry metrics_;
   obs::TraceLog trace_;
-  std::unique_ptr<obs::SimObserver> observer_;
-  sim::Simulator* sim_ = nullptr;  // where observer_ is registered
+  obs::KernelCounters kernel_;  // filled from the simulator in after_run()
 };
 
 /// Seeded fault injection + network health watching + graceful degradation.

@@ -11,22 +11,16 @@ namespace ev::core {
 
 // ----------------------------------------------------------- observability --
 
-ObservabilitySubsystem::~ObservabilitySubsystem() {
-  if (sim_ && sim_->observer() == observer_.get()) sim_->set_observer(nullptr);
-}
-
 void ObservabilitySubsystem::attach(VehicleSystem& vehicle) {
-  sim_ = &vehicle.simulator();
-  observer_ = std::make_unique<obs::SimObserver>(metrics_);
-  vehicle.simulator().set_observer(observer_.get());
+  kernel_ = obs::KernelCounters(metrics_);
   for (network::Bus* bus : vehicle.network().buses()) bus->attach_observer(metrics_);
   vehicle.network().gateway().attach_observer(metrics_);
   vehicle.cockpit().attach_observer(metrics_, &trace_);
 }
 
 void ObservabilitySubsystem::after_run(VehicleSystem& vehicle, SubsystemSnapshot& out) {
-  out.set("events_dispatched",
-          static_cast<double>(vehicle.simulator().dispatched()));
+  kernel_.add(metrics_, vehicle.simulator());
+  out.set("events_dispatched", static_cast<double>(vehicle.simulator().dispatched()));
   out.set("spans_recorded", static_cast<double>(trace_.spans().size()));
 }
 

@@ -7,7 +7,8 @@
 /// here at every rebalance; the grid-safety invariant is that the sum of
 /// per-station reservations never exceeds the live grid capacity, where an
 /// unreachable or silent station is reserved its last grant until its
-/// heartbeat lease runs out and the ThrottleAlive safe minimum afterwards.
+/// heartbeat lease runs out and the ThrottleAlive safe minimum (capped at
+/// that grant) afterwards.
 #pragma once
 
 #include <cstdint>
@@ -83,8 +84,9 @@ class CentralSystem {
   /// system must not push to it (unreachable, or no open transaction).
   /// Unreachable and lease-stale stations keep a reservation instead: their
   /// last grant until last_heard + lease, the ThrottleAlive safe minimum
-  /// beyond it — so the reachable stations' budget can never overcommit the
-  /// grid even while part of the fleet is silent.
+  /// (or the grant, when lower) beyond it — so the reachable stations'
+  /// budget can never overcommit the grid even while part of the fleet is
+  /// silent.
   std::vector<double> rebalance(double now_s, double capacity_kw,
                                 const std::vector<bool>& reachable,
                                 bool island_active);

@@ -5,9 +5,9 @@
 /// heartbeat liveness lease. Robustness contract (ThrottleAlive): whenever
 /// the station has heard nothing from the central system for a full lease
 /// period it *autonomously* throttles an active session to the safe minimum
-/// current and keeps it there until the next central reply — so a fleet
-/// that loses its control plane degrades to a known-safe draw the central
-/// system can reserve for, instead of an unbounded one.
+/// current (never above its grant) and keeps it there until the next central
+/// reply — so a fleet that loses its control plane degrades to a known-safe
+/// draw the central system can reserve for, instead of an unbounded one.
 ///
 /// advance() is called once per tick from util::WorkerPool and
 /// touches only this station's state plus its private seeded RNG, which is

@@ -72,7 +72,9 @@ bool CentralSystem::stale(const Account& acc, double now_s) const noexcept {
 
 double CentralSystem::reserve_a(const Account& acc, double now_s) const noexcept {
   if (acc.tx_session == 0) return 0.0;
-  if (stale(acc, now_s)) return config_.safe_current_a;
+  // Mirrors ChargePoint's throttled draw: the safe minimum, or the grant
+  // when that is lower.
+  if (stale(acc, now_s)) return std::min(acc.allocated_a, config_.safe_current_a);
   return acc.allocated_a;
 }
 

@@ -244,7 +244,11 @@ void ChargePoint::end_session_locally(double /*now_s*/) {
 
 double ChargePoint::compute_draw() const noexcept {
   if (session_ == 0 || state_ != StationState::kCharging) return 0.0;
-  if (throttled_) return std::min(config_.safe_current_a, config_.max_current_a);
+  // ThrottleAlive caps the draw at the safe minimum, never raises it: a
+  // station holding a grant below safe (shed-load shares) keeps its grant,
+  // which is all the central system reserves for it.
+  if (throttled_)
+    return std::min({config_.safe_current_a, config_.max_current_a, allocated_a_});
   return std::clamp(allocated_a_, 0.0, config_.max_current_a);
 }
 

@@ -32,13 +32,6 @@ namespace ev::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kNoEvent = 0;
 
-/// Attribution tag for scheduled events. The simulator stores and forwards
-/// the tag to its observer untouched; by convention instrumented subsystems
-/// pass an obs::MetricsRegistry counter id so dispatches can be attributed
-/// per source without any lookup. kUntagged means "no attribution".
-using EventTag = std::uint32_t;
-inline constexpr EventTag kUntagged = 0xffff'ffffu;
-
 /// Selects the delay-relative schedule_periodic() overload: the first firing
 /// happens \p delay after the current time. Prefer this over computing
 /// `now() + delay` at the call site — an absolute first-activation time
@@ -61,26 +54,6 @@ class Simulator {
  public:
   using Handler = EventFn;
 
-  /// Observation hook. The kernel itself stays dependency-free: this
-  /// interface is implemented by ev::obs (SimObserver) or by tests. All
-  /// callbacks carry simulation-time quantities only, so anything derived
-  /// from them is deterministic across same-seed runs. Callbacks must not
-  /// mutate the simulator.
-  class Observer {
-   public:
-    virtual ~Observer() = default;
-    /// An event was enqueued at time \p now to fire at \p at.
-    virtual void on_scheduled(EventId id, Time at, Time now,
-                              std::size_t pending) noexcept = 0;
-    /// An event fired at \p at after waiting since \p enqueued_at.
-    /// \p pending counts live events after this dispatch; \p tag is the
-    /// scheduling call's attribution tag.
-    virtual void on_dispatched(EventId id, Time at, Time enqueued_at,
-                               std::size_t pending, EventTag tag) noexcept = 0;
-    /// A live event was cancelled.
-    virtual void on_cancelled(EventId id, std::size_t pending) noexcept = 0;
-  };
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -89,19 +62,17 @@ class Simulator {
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// Schedules \p handler to fire once at absolute time \p at (>= now()).
-  EventId schedule_at(Time at, Handler handler, EventTag tag = kUntagged);
+  EventId schedule_at(Time at, Handler handler);
 
   /// Schedules \p handler to fire once \p delay after the current time.
-  EventId schedule_in(Time delay, Handler handler, EventTag tag = kUntagged);
+  EventId schedule_in(Time delay, Handler handler);
 
   /// Schedules \p handler every \p period starting at absolute time \p first.
-  EventId schedule_periodic(Time first, Time period, Handler handler,
-                            EventTag tag = kUntagged);
+  EventId schedule_periodic(Time first, Time period, Handler handler);
 
   /// Schedules \p handler every \p period, first firing start.delay after the
   /// current time (delay-relative twin of the absolute-time overload).
-  EventId schedule_periodic(After start, Time period, Handler handler,
-                            EventTag tag = kUntagged);
+  EventId schedule_periodic(After start, Time period, Handler handler);
 
   /// Cancels a pending (or periodic) event. Returns true if the id was alive.
   bool cancel(EventId id);
@@ -119,13 +90,17 @@ class Simulator {
   /// Number of live events currently pending.
   [[nodiscard]] std::size_t pending() const noexcept { return live_count_; }
 
-  /// Total events dispatched since construction.
-  [[nodiscard]] std::uint64_t dispatched() const noexcept { return dispatched_; }
+  // Lifecycle totals since construction. Observers read them once a run is
+  // over (ev::obs::KernelCounters); no per-event hook exists.
 
-  /// Attaches \p observer (nullptr detaches). The observer must outlive its
-  /// attachment; when detached the kernel hot path pays one untaken branch.
-  void set_observer(Observer* observer) noexcept { observer_ = observer; }
-  [[nodiscard]] Observer* observer() const noexcept { return observer_; }
+  /// Events dispatched (each firing of a periodic counts once).
+  [[nodiscard]] std::uint64_t dispatched() const noexcept { return dispatched_; }
+  /// schedule_* calls; a periodic's re-arms are not new schedules.
+  [[nodiscard]] std::uint64_t scheduled() const noexcept { return scheduled_; }
+  /// cancel() calls that removed a live event.
+  [[nodiscard]] std::uint64_t cancelled() const noexcept { return cancelled_; }
+  /// Most live events pending at once, sampled after each schedule_* call.
+  [[nodiscard]] std::size_t peak_pending() const noexcept { return peak_pending_; }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffff'ffffu;
@@ -136,8 +111,6 @@ class Simulator {
   struct Slot {
     Handler handler;
     Time period{};
-    Time enqueued{};  // when the current activation was queued (observer lag)
-    EventTag tag = kUntagged;
     std::uint32_t generation = 1;  // bumped on release; stale heap-node filter
     std::uint32_t next_free = kNoSlot;
     bool periodic = false;
@@ -168,7 +141,7 @@ class Simulator {
     return chunks_[index >> kChunkShift][index & (kChunkSize - 1)];
   }
 
-  EventId enqueue(Time at, Handler handler, bool periodic, Time period, EventTag tag);
+  EventId enqueue(Time at, Handler handler, bool periodic, Time period);
   std::uint32_t acquire_slot();
   bool dispatch_next(Time limit);
   void heap_push(const HeapNode& node);
@@ -183,11 +156,13 @@ class Simulator {
   Time now_{};
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t cancelled_ = 0;
   std::size_t live_count_ = 0;
+  std::size_t peak_pending_ = 0;
   std::size_t slot_count_ = 0;
   std::uint32_t free_head_ = kNoSlot;
   std::uint32_t executing_ = kNoSlot;  // slot whose handler is running in place
-  Observer* observer_ = nullptr;
   std::vector<HeapNode> heap_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
 };

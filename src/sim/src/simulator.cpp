@@ -72,42 +72,35 @@ void Simulator::heap_pop() noexcept {
   if (!heap_.empty()) sift_down(0, last);
 }
 
-EventId Simulator::enqueue(Time at, Handler handler, bool periodic, Time period,
-                           EventTag tag) {
+EventId Simulator::enqueue(Time at, Handler handler, bool periodic, Time period) {
   if (at < now_) throw std::invalid_argument("Simulator: cannot schedule in the past");
   const std::uint32_t index = acquire_slot();
   Slot& slot = slot_at(index);
   slot.handler = std::move(handler);
   slot.period = period;
-  slot.enqueued = now_;
-  slot.tag = tag;
   slot.periodic = periodic;
   slot.live = true;
-  ++live_count_;
-  const EventId id = encode_id(index, slot.generation);
+  ++scheduled_;
+  if (++live_count_ > peak_pending_) peak_pending_ = live_count_;
   heap_push(HeapNode{at, next_seq_++, index, slot.generation});
-  if (observer_) [[unlikely]]
-    observer_->on_scheduled(id, at, now_, live_count_);
-  return id;
+  return encode_id(index, slot.generation);
 }
 
-EventId Simulator::schedule_at(Time at, Handler handler, EventTag tag) {
-  return enqueue(at, std::move(handler), /*periodic=*/false, Time{}, tag);
+EventId Simulator::schedule_at(Time at, Handler handler) {
+  return enqueue(at, std::move(handler), /*periodic=*/false, Time{});
 }
 
-EventId Simulator::schedule_in(Time delay, Handler handler, EventTag tag) {
-  return enqueue(now_ + delay, std::move(handler), /*periodic=*/false, Time{}, tag);
+EventId Simulator::schedule_in(Time delay, Handler handler) {
+  return enqueue(now_ + delay, std::move(handler), /*periodic=*/false, Time{});
 }
 
-EventId Simulator::schedule_periodic(Time first, Time period, Handler handler,
-                                     EventTag tag) {
+EventId Simulator::schedule_periodic(Time first, Time period, Handler handler) {
   if (period <= Time{}) throw std::invalid_argument("Simulator: period must be positive");
-  return enqueue(first, std::move(handler), /*periodic=*/true, period, tag);
+  return enqueue(first, std::move(handler), /*periodic=*/true, period);
 }
 
-EventId Simulator::schedule_periodic(After start, Time period, Handler handler,
-                                     EventTag tag) {
-  return schedule_periodic(now_ + start.delay, period, std::move(handler), tag);
+EventId Simulator::schedule_periodic(After start, Time period, Handler handler) {
+  return schedule_periodic(now_ + start.delay, period, std::move(handler));
 }
 
 bool Simulator::cancel(EventId id) {
@@ -121,6 +114,7 @@ bool Simulator::cancel(EventId id) {
   slot.live = false;
   ++slot.generation;  // invalidates the id and any heap nodes still queued
   --live_count_;
+  ++cancelled_;
   if (index != executing_) {
     // Storage release is deferred for the executing slot: destroying the
     // closure that is cancelling itself mid-call would free live stack state.
@@ -129,8 +123,6 @@ bool Simulator::cancel(EventId id) {
     slot.next_free = free_head_;
     free_head_ = index;
   }
-  if (observer_) [[unlikely]]
-    observer_->on_cancelled(id, live_count_);
   return true;
 }
 
@@ -150,16 +142,8 @@ bool Simulator::dispatch_next(Time limit) {
     if (slot.periodic) {
       // Re-arm before dispatch so the handler may cancel its own repetition.
       const Time next = top.at + slot.period;
-      if (observer_) [[unlikely]] {
-        observer_->on_dispatched(encode_id(top.slot, top.generation), top.at,
-                                 slot.enqueued, live_count_, slot.tag);
-        slot.enqueued = now_;
-      }
       heap_replace_top(HeapNode{next, next_seq_++, top.slot, top.generation});
     } else {
-      if (observer_) [[unlikely]]
-        observer_->on_dispatched(encode_id(top.slot, top.generation), top.at,
-                                 slot.enqueued, live_count_ - 1, slot.tag);
       heap_pop();
       // Logical release before the call: the handler sees itself as dead
       // (pending() excludes it, cancelling its own id is a no-op) and the id

@@ -10,6 +10,9 @@
 #                                              before simulating, naming it
 #   tests/data/bad_targets.scn (faults off) -> `check` exit 1, `run` exit 1
 #                                              with check's first message
+#   tests/data/fleet_blackout_overload.fleet (grid overdrawn)
+#                          -> `fleet` writes its report, exit 1 with one
+#                             stderr line naming the broken invariant
 #   report lost to a full device (/dev/full as --out or stdout)
 #                          -> exit 1 on every verb, stderr says "cannot write"
 # Expects -DEVSYS=<path to the evsys binary>, -DSOURCE_DIR=<repo root> and
@@ -185,6 +188,29 @@ if(NOT code EQUAL 1 OR at EQUAL -1 OR NOT out STREQUAL "")
                       "'${first_error}', got ${code}:\n${err}")
 endif()
 message(STATUS "run rejects bad_targets.scn with check's first error, faults off")
+
+# A whole-fleet blackout under a 90% capacity drop: silent stations keep
+# their safe current, which overdraws the grid. The report is still written
+# (it counts the violations), but the verb fails.
+set(overload "${WORK_DIR}/fleet_blackout_overload.json")
+file(REMOVE "${overload}")
+execute_process(
+  COMMAND "${EVSYS}" fleet "${SOURCE_DIR}/tests/data/fleet_blackout_overload.fleet"
+          --out "${overload}"
+  RESULT_VARIABLE code
+  ERROR_VARIABLE err)
+string(REGEX MATCHALL "grid-safety invariant broken[^\n]*\n" broken "${err}")
+list(LENGTH broken lines)
+if(NOT code EQUAL 1 OR NOT lines EQUAL 1 OR
+   NOT err MATCHES "evsys fleet: grid-safety invariant broken: [^\n]* on 610 tick\\(s\\)\n")
+  message(FATAL_ERROR "fleet on fleet_blackout_overload.fleet: expected exit 1 with one "
+                      "line naming 610 overdrawn ticks, got ${code}:\n${err}")
+endif()
+file(READ "${overload}" report)
+if(NOT report MATCHES "\"violations\":610")
+  message(FATAL_ERROR "fleet_blackout_overload report does not count 610 violations:\n${report}")
+endif()
+message(STATUS "fleet exits 1 when the grid is overdrawn, report still written")
 
 # Every verb writes its report through one checked writer: a report lost to
 # a full device fails the verb instead of exiting 0.

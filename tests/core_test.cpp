@@ -237,6 +237,26 @@ TEST(Subsystems, SnapshotsLandInCoSimResult) {
   EXPECT_GT(r.subsystems[0].values[0].second, 1000.0);
 }
 
+// The obs registry's sim.* metrics are the kernel's own counts, copied in
+// after each run (the kernel is not hooked per event).
+TEST(Subsystems, ObsSimCountersEqualTheKernel) {
+  VehicleSystem vs{VehicleSystemConfig{}};
+  auto& obs = static_cast<ObservabilitySubsystem&>(
+      vs.attach(std::make_unique<ObservabilitySubsystem>()));
+  (void)vs.attach(std::make_unique<HealthSubsystem>());
+  (void)vs.run(short_cycle());
+  const ev::obs::MetricsRegistry& reg = obs.metrics();
+  const ev::sim::Simulator& sim = vs.simulator();
+  EXPECT_EQ(reg.counter_value(reg.find("sim.events_scheduled")), sim.scheduled());
+  EXPECT_EQ(reg.counter_value(reg.find("sim.events_dispatched")), sim.dispatched());
+  EXPECT_EQ(reg.counter_value(reg.find("sim.events_cancelled")), sim.cancelled());
+  EXPECT_EQ(reg.gauge_value(reg.find("sim.queue_depth.peak")),
+            static_cast<double>(sim.peak_pending()));
+  EXPECT_GT(sim.dispatched(), sim.scheduled());  // periodic re-arms are not schedules
+  EXPECT_GT(sim.cancelled(), 0u);  // run() cancels its own periodics
+  EXPECT_FALSE(reg.contains("sim.dispatch_delay_us"));
+}
+
 TEST(Subsystems, ScenarioBusFaultsEscalateToLimpHomeMidDrive) {
   ev::config::ScenarioSpec spec;
   spec.powertrain.seed = 7;

@@ -298,6 +298,49 @@ TEST(HeartbeatLease, ExpiresExactlyAtBoundaryTick) {
   EXPECT_EQ(station.stats().lease_expiries, 1u);
 }
 
+// A station whose load-balancer grant sits below the ThrottleAlive safe
+// current loses contact: the lease throttle may only lower its draw, and the
+// central system's stale reservation for it never exceeds the grant either
+// (a reservation raised to the safe current overcommits the grid).
+TEST(HeartbeatLease, SubSafeGrantIsNeverRaisedBySilence) {
+  ev::fleet::StationConfig config;
+  config.arrival_rate_per_h = 3600.0;  // a car plugs in within seconds
+  config.energy_min_kwh = 50.0;        // ... and charges for the whole test
+  config.energy_max_kwh = 60.0;
+  ev::fleet::CentralConfig central_config;
+  central_config.station_count = 1;
+  central_config.capacity_kw = 2.6;  // 6.5 A: above min (6 A), below safe (8 A)
+  const ev::security::Key master(32, 0x42);
+  ev::fleet::CentralSystem central(central_config, master);
+  ev::fleet::ChargePoint station(0, config, ev::fleet::station_credential(master, 0), 3);
+  const double grant_a = 6.5;
+
+  std::vector<Message> outbox;
+  auto tick = [&](double t, bool up) {
+    if (up) {
+      const std::vector<double> grants = central.rebalance(t, central_config.capacity_kw,
+                                                           {true}, /*island_active=*/false);
+      if (grants[0] >= 0.0) station.set_allocated(grants[0], t);
+    }
+    outbox.clear();
+    station.advance(t, 1.0, up, outbox);
+    for (const Message& msg : outbox) station.deliver(central.process(msg, t), t);
+  };
+  double t = 0.0;
+  for (; t < 120.0; t += 1.0) tick(t, true);
+  ASSERT_EQ(station.state(), ev::fleet::StationState::kCharging);
+  ASSERT_DOUBLE_EQ(station.allocated_a(), grant_a);
+
+  bool throttled = false;
+  for (const double dark_until = t + 3 * config.lease_s; t < dark_until; t += 1.0) {
+    tick(t, false);
+    throttled = throttled || station.throttled();
+    EXPECT_LE(station.draw_a(), grant_a) << "t=" << t;
+    EXPECT_LE(central.station_reserve_a(0, t), grant_a) << "t=" << t;
+  }
+  EXPECT_TRUE(throttled) << "the lease never ran out";
+}
+
 // --- Whole-run robustness invariants ----------------------------------------
 
 // Heartbeat loss must throttle affected stations to the safe minimum within
@@ -396,6 +439,37 @@ TEST(FleetRun, AccountingConvergesAfterBlackout) {
   EXPECT_LE(result.central.billed_kwh,
             result.stations.energy_delivered_kwh + 1e-9);
   EXPECT_EQ(result.grid_violations, 0u);
+}
+
+// examples/scenarios/depot_fleet.fleet: 96 stations behind 400 kW, walking
+// the whole degradation ladder.
+FleetSpec depot_spec(std::uint64_t seed) {
+  FleetSpec spec = FleetSpec::from_text(R"(fleet.name = depot_fleet
+fleet.stations = 96
+fleet.feeders = 6
+fleet.sim_hours = 2
+station.rogue_count = 2
+sessions.arrival_rate_per_station_per_h = 1.2
+sessions.energy_min_kwh = 4
+sessions.energy_max_kwh = 18
+grid.capacity_kw = 400
+channel.loss_probability = 0.02
+gridfault.0 = 1800 grid.capacity_drop 0 0.75 900
+gridfault.1 = 3600 comms.blackout 24 24 600
+gridfault.2 = 5400 grid.feeder_partition 2 0 600
+)");
+  spec.seed = seed;
+  return spec;
+}
+
+// Seed 39 of the depot yard once overdrew the grid twice: a shed-load
+// station holding a 6.1 A grant went lease-silent, and ThrottleAlive raised
+// its draw (and the central reservation) to the 8 A safe current.
+TEST(FleetRun, DepotSeed39NeverOverdrawsTheGrid) {
+  const FleetResult result = ev::fleet::run_fleet(depot_spec(39), 1);
+  EXPECT_EQ(result.grid_violations, 0u);
+  EXPECT_GE(result.min_headroom_kw, -1e-6);  // the invariant's tolerance
+  EXPECT_GT(result.stations.lease_expiries, 0u);
 }
 
 // --- Determinism ------------------------------------------------------------

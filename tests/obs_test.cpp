@@ -1,6 +1,6 @@
 // Unit tests for the observability layer: metric registry semantics and
-// determinism, histogram bounds, span sink capacity, the simulator observer,
-// and exporter round-trips.
+// determinism, histogram bounds, span sink capacity, and exporter
+// round-trips.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,16 +15,12 @@
 #include "ev/obs/export.h"
 #include "ev/obs/metric_id.h"
 #include "ev/obs/metrics.h"
-#include "ev/obs/sim_observer.h"
 #include "ev/obs/span_trace.h"
-#include "ev/sim/simulator.h"
 
 namespace {
 
 using namespace ev::obs;
 using ev::config::format_double;
-using ev::sim::Simulator;
-using ev::sim::Time;
 
 // ------------------------------------------------------------- interner ----
 
@@ -214,29 +210,6 @@ TEST(SpanTrace, BoundedCapacityCountsDrops) {
   // Operations on the sentinel id are safe no-ops.
   log.attr(kInvalidId, n, 1.0);
   log.end(kInvalidId, 9);
-}
-
-// ---------------------------------------------------------- sim observer ----
-
-TEST(SimObserver, CountsAndAttributesEvents) {
-  MetricsRegistry reg;
-  SimObserver obs(reg);
-  Simulator sim;
-  sim.set_observer(&obs);
-  const ev::sim::EventTag brake = obs.source("brake");
-  sim.schedule_periodic(Time::ms(1), Time::ms(1), [] {}, brake);
-  const auto doomed = sim.schedule_at(Time::s(2), [] {});
-  sim.cancel(doomed);
-  sim.run_until(Time::ms(10));
-  EXPECT_EQ(reg.counter_value(reg.counter("sim.events_dispatched")), sim.dispatched());
-  EXPECT_EQ(reg.counter_value(reg.counter("sim.events_cancelled")), 1u);
-  EXPECT_EQ(reg.counter_value(reg.counter("sim.dispatched.brake")), 10u);
-  // Every periodic firing lagged exactly one period behind its (re)arming.
-  const ev::util::RunningStats& lat = reg.histogram_stats(reg.histogram(
-      "sim.dispatch_delay_us", 0.0, 1e6, 64));
-  EXPECT_EQ(lat.count(), sim.dispatched());
-  EXPECT_DOUBLE_EQ(lat.max(), 1000.0);
-  EXPECT_GE(reg.gauge_value(reg.gauge("sim.queue_depth.peak")), 1.0);
 }
 
 // -------------------------------------------------------------- exporters ----

@@ -1,20 +1,17 @@
-// Unit tests for the discrete-event kernel and the trace recorder.
+// Unit tests for the discrete-event kernel.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "ev/sim/simulator.h"
-#include "ev/sim/trace.h"
 
 namespace {
 
 using ev::sim::Simulator;
 using ev::sim::Time;
-using ev::sim::Trace;
 
 TEST(Time, FactoryAndConversion) {
   EXPECT_EQ(Time::us(1).count_ns(), 1000);
@@ -127,66 +124,34 @@ TEST(Simulator, PeriodicAfterOverloadIsDelayRelative) {
   EXPECT_EQ(at[2], Time::ms(27));
 }
 
-namespace {
-struct RecordingObserver final : Simulator::Observer {
-  int scheduled = 0, dispatched = 0, cancelled = 0;
-  std::size_t peak_pending = 0;
-  ev::sim::Time last_delay{};
-  std::vector<ev::sim::EventTag> tags;
-  void on_scheduled(ev::sim::EventId, Time, Time, std::size_t pending) noexcept override {
-    ++scheduled;
-    peak_pending = std::max(peak_pending, pending);
-  }
-  void on_dispatched(ev::sim::EventId, Time at, Time enqueued_at, std::size_t,
-                     ev::sim::EventTag tag) noexcept override {
-    ++dispatched;
-    last_delay = at - enqueued_at;
-    tags.push_back(tag);
-  }
-  void on_cancelled(ev::sim::EventId, std::size_t) noexcept override { ++cancelled; }
-};
-}  // namespace
-
-TEST(Simulator, ObserverSeesLifecycleAndTags) {
+// The kernel keeps its own lifecycle counts: a schedule per schedule_* call
+// (a periodic's re-arms are not schedules), a dispatch per firing, a cancel
+// only when a live event was removed, and the peak of pending events.
+TEST(Simulator, CountsItsOwnLifecycle) {
   Simulator sim;
-  RecordingObserver obs;
-  sim.set_observer(&obs);
-  constexpr ev::sim::EventTag kBrakeTag = 7;
-  sim.schedule_at(Time::ms(1), [] {}, kBrakeTag);
-  sim.schedule_at(Time::ms(2), [] {});
+  const auto first = sim.schedule_at(Time::ms(1), [] {});
+  sim.schedule_at(Time::ms(2), [&] { sim.schedule_in(Time::ms(1), [] {}); });
   const auto doomed = sim.schedule_at(Time::ms(3), [] {});
-  sim.cancel(doomed);
+  EXPECT_EQ(sim.peak_pending(), 3u);
+  EXPECT_TRUE(sim.cancel(doomed));
+  EXPECT_FALSE(sim.cancel(doomed));  // stale: already cancelled
+  int fired = 0;
+  ev::sim::EventId self = ev::sim::kNoEvent;
+  self = sim.schedule_periodic(Time::ms(4), Time::ms(1), [&] {
+    if (++fired == 3) {
+      EXPECT_TRUE(sim.cancel(self));  // self-cancel counts
+    }
+  });
   sim.run_until(Time::ms(10));
-  EXPECT_EQ(obs.scheduled, 3);
-  EXPECT_EQ(obs.dispatched, 2);
-  EXPECT_EQ(obs.cancelled, 1);
-  EXPECT_EQ(obs.peak_pending, 3u);
-  EXPECT_EQ(sim.dispatched(), 2u);
-  ASSERT_EQ(obs.tags.size(), 2u);
-  EXPECT_EQ(obs.tags[0], kBrakeTag);
-  EXPECT_EQ(obs.tags[1], ev::sim::kUntagged);
-}
+  EXPECT_FALSE(sim.cancel(first));  // stale: already fired
+  EXPECT_FALSE(sim.cancel(ev::sim::kNoEvent));
 
-TEST(Simulator, ObserverDispatchDelayIsEnqueueToFire) {
-  Simulator sim;
-  RecordingObserver obs;
-  sim.set_observer(&obs);
-  sim.schedule_at(Time::ms(5), [&] { sim.schedule_in(Time::ms(2), [] {}); });
-  sim.run_until(Time::ms(10));
-  // The nested event was enqueued at t=5 and fired at t=7.
-  EXPECT_EQ(obs.last_delay, Time::ms(2));
-}
-
-TEST(Simulator, ObserverPeriodicDelayResetEachCycle) {
-  Simulator sim;
-  RecordingObserver obs;
-  sim.set_observer(&obs);
-  const auto id = sim.schedule_periodic(Time::ms(10), Time::ms(10), [] {});
-  sim.run_until(Time::ms(35));
-  sim.cancel(id);
-  EXPECT_EQ(obs.dispatched, 3);
-  // Each firing's delay is one period, not the cumulative age of the event.
-  EXPECT_EQ(obs.last_delay, Time::ms(10));
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.scheduled(), 5u);   // 3 one-shots, the nested one, the periodic
+  EXPECT_EQ(sim.dispatched(), 6u);  // 3 one-shots + 3 periodic firings
+  EXPECT_EQ(sim.cancelled(), 2u);   // doomed and the periodic's own cancel
+  EXPECT_EQ(sim.peak_pending(), 3u);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(Simulator, RunUntilAdvancesClockToBoundary) {
@@ -373,30 +338,6 @@ TEST(ScheduledHandle, AssignCancelsPreviousEvent) {
   sim.run_until(Time::ms(2));
   EXPECT_EQ(first, 0);
   EXPECT_EQ(second, 1);
-}
-
-TEST(Trace, RecordsAndStats) {
-  Trace t("signal");
-  t.record(Time::ms(0), 1.0);
-  t.record(Time::ms(10), 3.0);
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.name(), "signal");
-  EXPECT_DOUBLE_EQ(t.stats().mean(), 2.0);
-  EXPECT_DOUBLE_EQ(t.last(), 3.0);
-}
-
-TEST(Trace, SampleAtInterpolates) {
-  Trace t;
-  t.record(Time::ms(0), 0.0);
-  t.record(Time::ms(10), 10.0);
-  EXPECT_DOUBLE_EQ(t.sample_at(Time::ms(5)), 5.0);
-  EXPECT_DOUBLE_EQ(t.sample_at(Time::ms(-5)), 0.0);   // clamp below
-  EXPECT_DOUBLE_EQ(t.sample_at(Time::ms(50)), 10.0);  // clamp above
-}
-
-TEST(Trace, SampleAtEmptyThrows) {
-  Trace t;
-  EXPECT_THROW((void)t.sample_at(Time::ms(1)), std::out_of_range);
 }
 
 }  // namespace

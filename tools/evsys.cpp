@@ -162,6 +162,11 @@ int cmd_run(const Args& args) {
                    metrics_base.c_str());
       return 1;
     }
+    // The span sink is bounded and keeps the first spans; say what it lost.
+    if (const std::uint64_t dropped = obs->trace().dropped(); dropped > 0)
+      std::fprintf(stderr,
+                   "evsys run: span trace full: kept the first %zu span(s), dropped %llu\n",
+                   obs->trace().spans().size(), static_cast<unsigned long long>(dropped));
   }
 
   const bool written = write_output(args.text("--out"), [&result](std::ostream& out) {
@@ -201,7 +206,15 @@ int cmd_fleet(const Args& args) {
   const bool written = write_output(args.text("--out"), [&result](std::ostream& out) {
     ev::fleet::write_fleet_json(result, out);
   });
-  return written ? 0 : 1;
+  if (!written) return 1;
+  if (result.grid_violations > 0) {
+    std::fprintf(stderr,
+                 "evsys fleet: grid-safety invariant broken: the fleet drew more than "
+                 "the live capacity on %llu tick(s)\n",
+                 static_cast<unsigned long long>(result.grid_violations));
+    return 1;
+  }
+  return 0;
 }
 
 int cmd_synthesize(const Args& args) {
@@ -323,7 +336,8 @@ const Verb kVerbs[] = {
      "thread) and write the deterministic fleet report\n"
      "JSON to stdout (or --out). --metrics <base> also\n"
      "exports <base>.metrics.json/.metrics.csv. Output\n"
-     "is byte-identical for any --jobs value."},
+     "is byte-identical for any --jobs value. Exit code:\n"
+     "0 when the grid was never overdrawn, 1 otherwise."},
     {"check", "<scenario.scn>", 1, 1,
      {{"--prob", FlagKind::kSwitch, ""}, {"--out", FlagKind::kText, "<file>"}},
      cmd_check,
