@@ -12,6 +12,7 @@
 #include "ev/network/ethernet.h"
 #include "ev/network/flexray.h"
 #include "ev/sim/simulator.h"
+#include "ev/util/stats.h"
 #include "ev/util/table.h"
 #include "harness.h"
 
@@ -42,7 +43,7 @@ Goodput saturate_can(bool observed = false) {
   sim.run_until(Time::s(10));
   if (observed) evbench::count_kernel(sim);
   return Goodput{static_cast<double>(bus.delivered_payload_bytes()) * 8.0 / 10.0 / 1e6,
-                 bus.latency().mean() * 1e3};
+                 ev::util::summarize(bus.latency()).mean * 1e3};
 }
 
 Goodput saturate_flexray(bool observed = false) {
@@ -66,7 +67,7 @@ Goodput saturate_flexray(bool observed = false) {
   sim.run_until(Time::s(10));
   if (observed) evbench::count_kernel(sim);
   return Goodput{static_cast<double>(bus.delivered_payload_bytes()) * 8.0 / 10.0 / 1e6,
-                 bus.latency().mean() * 1e3};
+                 ev::util::summarize(bus.latency()).mean * 1e3};
 }
 
 Goodput saturate_ethernet(bool observed = false) {
@@ -88,7 +89,7 @@ Goodput saturate_ethernet(bool observed = false) {
   sim.run_until(Time::s(10));
   if (observed) evbench::count_kernel(sim);
   return Goodput{static_cast<double>(sw.delivered_payload_bytes()) * 8.0 / 10.0 / 1e6,
-                 sw.latency().mean() * 1e3};
+                 ev::util::summarize(sw.latency()).mean * 1e3};
 }
 
 void run_experiment() {

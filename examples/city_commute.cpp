@@ -15,6 +15,7 @@
 #include "ev/config/scenario.h"
 #include "ev/core/scenario.h"
 #include "ev/core/subsystems.h"
+#include "ev/util/stats.h"
 #include "ev/util/table.h"
 
 int main() {
@@ -49,7 +50,7 @@ int main() {
   for (auto* bus : vehicle->network().buses()) {
     net.add_row({bus->name(), ev::util::fmt_pct(bus->utilization(), 2),
                  std::to_string(bus->delivered_count()),
-                 ev::util::fmt(bus->latency().mean() * 1e3, 3) + " ms"});
+                 ev::util::fmt(ev::util::summarize(bus->latency()).mean * 1e3, 3) + " ms"});
   }
   net.print();
 

@@ -47,9 +47,12 @@ class Bus {
   /// Fraction of elapsed simulation time the medium was busy, in [0,1].
   [[nodiscard]] double utilization() const noexcept;
   /// Frames delivered so far.
-  [[nodiscard]] std::size_t delivered_count() const noexcept { return delivered_; }
-  /// Queue-to-delivery latency distribution [s].
-  [[nodiscard]] const util::SampleSeries& latency() const noexcept { return latency_s_; }
+  [[nodiscard]] std::size_t delivered_count() const noexcept { return latency_s_.count(); }
+  /// Queue-to-delivery latency summary [s]: count, sum, min and max of every
+  /// delivered frame in constant memory (no per-frame sample is kept; a
+  /// reader that needs percentiles collects them through subscribe()).
+  /// util::summarize() reads it as a SampleSeries would.
+  [[nodiscard]] const util::RunningStats& latency() const noexcept { return latency_s_; }
   /// Total payload bytes delivered (goodput accounting).
   [[nodiscard]] std::size_t delivered_payload_bytes() const noexcept {
     return delivered_bytes_;
@@ -119,9 +122,8 @@ class Bus {
   double bit_rate_bps_;
   std::vector<DeliveryHandler> receivers_;
   sim::Time busy_{};
-  std::size_t delivered_ = 0;
   std::size_t delivered_bytes_ = 0;
-  util::SampleSeries latency_s_;
+  util::RunningStats latency_s_;
   std::uint64_t seq_ = 0;
   // Injected-fault state (all zero on the happy path).
   std::size_t drop_pending_ = 0;

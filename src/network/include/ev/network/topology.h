@@ -112,8 +112,9 @@ class Figure1Network {
   [[nodiscard]] const std::vector<PeriodicSource>& sources() const noexcept {
     return sources_;
   }
-  /// End-to-end latency samples per monitored cross-domain flow [s].
-  [[nodiscard]] const std::map<std::string, util::SampleSeries>& flow_latency()
+  /// End-to-end latency summary per monitored cross-domain flow [s], kept
+  /// in constant memory like Bus::latency().
+  [[nodiscard]] const std::map<std::string, util::RunningStats>& flow_latency()
       const noexcept {
     return flow_latency_;
   }
@@ -132,7 +133,7 @@ class Figure1Network {
   std::unique_ptr<FlexRayBus> chassis_fr_;
   std::unique_ptr<Gateway> gateway_;
   std::vector<PeriodicSource> sources_;
-  std::map<std::string, util::SampleSeries> flow_latency_;
+  std::map<std::string, util::RunningStats> flow_latency_;
   bool started_ = false;
 };
 

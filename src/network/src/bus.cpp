@@ -63,7 +63,6 @@ void Bus::deliver(const Frame& frame) {
   if (drop_pending_ > 0 || corrupt_pending_ > 0) {
     if (consume_delivery_fault(frame)) return;
   }
-  ++delivered_;
   delivered_bytes_ += frame.payload_size;
   const sim::Time latency = sim_->now() - frame.created;
   latency_s_.add(latency.to_seconds());

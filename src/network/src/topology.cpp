@@ -217,10 +217,10 @@ void Figure1Network::apply_arch_overrides() {
 }
 
 void Figure1Network::monitor_flow(const CrossDomainFlow& flow) {
-  auto& series = flow_latency_[flow.name];
+  util::RunningStats& summary = flow_latency_[flow.name];
   const std::uint32_t id = flow.destination_id;
-  flow.destination_bus->subscribe([&series, id](const Frame& f, sim::Time at) {
-    if (f.id == id) series.add((at - f.created).to_seconds());
+  flow.destination_bus->subscribe([&summary, id](const Frame& f, sim::Time at) {
+    if (f.id == id) summary.add((at - f.created).to_seconds());
   });
 }
 

@@ -50,8 +50,26 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Batch series that retains all samples so order statistics are available.
-/// Used where percentiles matter (e.g. latency distributions).
+/// What a SampleSeries holding the same samples would report, read from a
+/// RunningStats alone. mean is sum()/count(), bit-identical to
+/// SampleSeries::mean over the same samples added in the same order
+/// (RunningStats::mean is Welford's running mean and may differ in the last
+/// bit). Like SampleSeries, mean, min and max read 0 when empty, where
+/// RunningStats keeps its +inf/-inf identities.
+struct SeriesSummary {
+  std::size_t count = 0;
+  double mean = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// Reads \p stats as SeriesSummary describes.
+[[nodiscard]] SeriesSummary summarize(const RunningStats& stats) noexcept;
+
+/// Batch series that retains every sample, so order statistics
+/// (percentiles) are available at O(n) memory. Meant for bounded runs that
+/// need percentiles (benches, tests); long simulations record into a
+/// RunningStats instead, as the bus and flow latency probes do.
 class SampleSeries {
  public:
   /// Appends one sample.

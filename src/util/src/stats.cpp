@@ -48,6 +48,12 @@ double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double RunningStats::range() const noexcept { return n_ == 0 ? 0.0 : max_ - min_; }
 
+SeriesSummary summarize(const RunningStats& stats) noexcept {
+  if (stats.count() == 0) return {};
+  return {stats.count(), stats.sum() / static_cast<double>(stats.count()), stats.min(),
+          stats.max()};
+}
+
 void SampleSeries::add(double x) {
   samples_.push_back(x);
   sorted_valid_ = false;

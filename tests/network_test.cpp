@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -21,6 +22,8 @@
 #include "ev/network/topology.h"
 #include "ev/sim/simulator.h"
 #include "ev/util/rng.h"
+#include "ev/util/stats.h"
+#include "ev/util/table.h"
 
 namespace {
 
@@ -960,6 +963,100 @@ TEST(Figure1, LoadScaleIncreasesUtilization) {
   sim_hi.run_until(Time::s(3));
 
   EXPECT_GT(net_hi.safety_can().utilization(), net_lo.safety_can().utilization());
+}
+
+// Runs the Fig. 1 network for 30 s and checks every bus's and every flow's
+// constant-size latency summary against a SampleSeries that keeps every
+// delivered sample: count, mean, min and max must agree bit for bit.
+void expect_summaries_match_samples(bool faulted) {
+  Simulator sim;
+  Figure1Network net(sim);
+  const std::vector<Bus*> buses = net.buses();
+  std::vector<ev::util::SampleSeries> bus_samples(buses.size());
+  for (std::size_t i = 0; i < buses.size(); ++i) {
+    buses[i]->subscribe([&series = bus_samples[i]](const Frame& f, Time at) {
+      series.add((at - f.created).to_seconds());
+    });
+  }
+  // Destination bus and wire id of each monitored flow (topology.cpp).
+  struct Probe {
+    Bus* bus;
+    std::uint32_t id;
+  };
+  const std::map<std::string, Probe> probes{
+      {"wheel-speed->dashboard", {&net.comfort_can(), 0x340}},
+      {"bms->infotainment", {&net.infotainment_most(), kFrameIdBmsOnMost}},
+      {"crash->chassis", {&net.chassis_flexray(), kFrameIdCrashOnChassis}}};
+  std::map<std::string, ev::util::SampleSeries> flow_samples;
+  for (const auto& [name, probe] : probes) {
+    probe.bus->subscribe([&series = flow_samples[name], id = probe.id](const Frame& f,
+                                                                        Time at) {
+      if (f.id == id) series.add((at - f.created).to_seconds());
+    });
+  }
+  if (faulted) {
+    // Drop and corrupt a few deliveries on every bus, every 50 ms.
+    sim.schedule_periodic(Time::ms(7), Time::ms(50), [&buses] {
+      for (Bus* bus : buses) {
+        bus->inject_drop(1);
+        bus->inject_corruption(2);
+      }
+    });
+  }
+  net.start();
+  sim.run_until(Time::s(30));
+
+  const auto expect_match = [](const ev::util::RunningStats& stats,
+                               const ev::util::SampleSeries& series, const std::string& what) {
+    const ev::util::SeriesSummary summary = ev::util::summarize(stats);
+    EXPECT_GT(series.count(), 0u) << what;
+    EXPECT_EQ(summary.count, series.count()) << what;
+    EXPECT_EQ(summary.mean, series.mean()) << what;
+    EXPECT_EQ(summary.min, series.min()) << what;
+    EXPECT_EQ(summary.max, series.max()) << what;
+  };
+  std::size_t dropped = 0;
+  for (std::size_t i = 0; i < buses.size(); ++i) {
+    expect_match(buses[i]->latency(), bus_samples[i], buses[i]->name());
+    EXPECT_EQ(buses[i]->delivered_count(), bus_samples[i].count()) << buses[i]->name();
+    dropped += buses[i]->fault_dropped_count() + buses[i]->fault_corrupted_count();
+  }
+  EXPECT_EQ(dropped > 0, faulted);
+  ASSERT_EQ(net.flow_latency().size(), probes.size());
+  for (const auto& [name, stats] : net.flow_latency()) {
+    ASSERT_EQ(flow_samples.count(name), 1u) << name;
+    expect_match(stats, flow_samples.at(name), name);
+  }
+}
+
+TEST(Network, LatencySummaryMatchesEverySample) {
+  expect_summaries_match_samples(false);
+  expect_summaries_match_samples(true);
+}
+
+TEST(Network, IdleBusAndFlowSummariesReadZero) {
+  // Never started: no bus delivers and no flow sees a frame.
+  Simulator sim;
+  Figure1Network net(sim);
+  sim.run_until(Time::s(1));
+  std::vector<const ev::util::RunningStats*> idle;
+  for (const Bus* bus : net.buses()) idle.push_back(&bus->latency());
+  for (const auto& [name, stats] : net.flow_latency()) idle.push_back(&stats);
+  ASSERT_EQ(idle.size(), 8u);
+  for (const ev::util::RunningStats* stats : idle) {
+    // The raw summary keeps its empty identities ...
+    EXPECT_EQ(stats->count(), 0u);
+    EXPECT_EQ(stats->max(), -std::numeric_limits<double>::infinity());
+    // ... and the reading the latency tables print is 0, as an empty
+    // SampleSeries reads.
+    const ev::util::SeriesSummary summary = ev::util::summarize(*stats);
+    EXPECT_EQ(summary.count, 0u);
+    EXPECT_EQ(summary.mean, 0.0);
+    EXPECT_EQ(summary.min, 0.0);
+    EXPECT_EQ(summary.max, 0.0);
+    EXPECT_EQ(ev::util::fmt(summary.mean * 1e3, 3) + " ms", "0.000 ms");
+    EXPECT_EQ(ev::util::fmt(summary.max * 1e3, 3) + " ms", "0.000 ms");
+  }
 }
 
 }  // namespace

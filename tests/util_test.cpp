@@ -246,6 +246,25 @@ TEST(RunningStats, MergeWithEmptySides) {
   EXPECT_EQ(filled.max(), 3.0);
 }
 
+TEST(SampleSeries, SummaryOfRunningStatsReadsTheSame) {
+  RunningStats stats;
+  SampleSeries series;
+  EXPECT_EQ(summarize(stats).mean, series.mean());
+  EXPECT_EQ(summarize(stats).min, series.min());
+  EXPECT_EQ(summarize(stats).max, series.max());
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) {
+    const double x = rng.uniform(1e-6, 3e-3);
+    stats.add(x);
+    series.add(x);
+  }
+  const SeriesSummary summary = summarize(stats);
+  EXPECT_EQ(summary.count, series.count());
+  EXPECT_EQ(summary.mean, series.mean());  // bit for bit, not Welford's mean
+  EXPECT_EQ(summary.min, series.min());
+  EXPECT_EQ(summary.max, series.max());
+}
+
 TEST(SampleSeries, PercentilesExact) {
   SampleSeries s;
   for (int i = 1; i <= 100; ++i) s.add(i);
