@@ -54,7 +54,10 @@ namespace ev::analysis {
 
 /// P(X + Y > k) for independent X ~ Poisson(mean) and Y ~ Binomial(n, p):
 /// the convolved complementary mass, clamped to [0, 1]. Degenerates to the
-/// single-channel tails when mean == 0 or n == 0 / p == 0.
+/// single-channel tails when mean == 0 or n == 0 / p == 0. Both pmfs are
+/// tabled once for 0..k, so a call costs O(k²) arithmetic and at most
+/// 2(k+1) exp/pow calls; the sum runs in the (total, a) order of the direct
+/// O(k³) convolution and returns the same bits.
 [[nodiscard]] double combined_tail_above(double mean, int n, double p, int k);
 
 // --- error-model derivation -------------------------------------------------

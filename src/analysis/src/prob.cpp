@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 namespace ev::analysis {
 
@@ -36,10 +37,17 @@ double binomial_pmf(int n, double p, int k) {
 
 double combined_tail_above(double mean, int n, double p, int k) {
   if (k < 0) return 1.0;
+  // Each pmf once per j instead of once per term; the sum below runs in the
+  // same (total, a) order as the direct convolution, so it keeps its bits.
+  std::vector<double> pois(static_cast<std::size_t>(k) + 1);
+  std::vector<double> bin(pois.size());
+  for (int j = 0; j <= k; ++j) {
+    pois[j] = poisson_pmf(mean, j);
+    bin[j] = binomial_pmf(n, p, j);
+  }
   double cum = 0.0;
   for (int total = 0; total <= k; ++total)
-    for (int a = 0; a <= total; ++a)
-      cum += poisson_pmf(mean, a) * binomial_pmf(n, p, total - a);
+    for (int a = 0; a <= total; ++a) cum += pois[a] * bin[total - a];
   return std::clamp(1.0 - cum, 0.0, 1.0);
 }
 

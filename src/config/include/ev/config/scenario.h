@@ -267,7 +267,10 @@ bool save_scenario_file(const ScenarioSpec& spec, const std::string& path);
 
 /// Shortest decimal form of \p value that parses back to the same double —
 /// the deterministic number format of scenario text (and of every exporter
-/// fed from it).
+/// fed from it). The text is printf("%.*g") at the least precision p in
+/// 1..17 that round-trips (17 for NaN). The search starts at the digit count
+/// of the shortest round-trip form, below which no precision can succeed, so
+/// it usually takes one try.
 [[nodiscard]] std::string format_double(double value);
 
 /// The closed integer grammars of scenario text, for every other surface

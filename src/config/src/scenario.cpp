@@ -1,6 +1,8 @@
 #include "ev/config/scenario.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -159,11 +161,21 @@ void ArchSpec::set_partition_windows(std::vector<PartitionWindowSpec> windows) {
 
 std::string format_double(double value) {
   char buf[40];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
+  char* const last = buf + sizeof buf;
+  // Mantissa digits of the shortest round-trip form: no "%.*g" precision
+  // below that count parses back to value. Counted in scientific form, since
+  // the plain shortest form prints a large integer in full.
+  char* end = std::to_chars(buf, last, value, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) precision += *c >= '0' && *c <= '9';
+  // inf and NaN print no digit; NaN never round-trips and stops at 17.
+  for (precision = std::max(precision, 1); precision <= 17; ++precision) {
+    end = std::to_chars(buf, last, value, std::chars_format::general, precision).ptr;
+    double parsed = 0.0;
+    std::from_chars(buf, end, parsed);
+    if (parsed == value) break;
   }
-  return buf;
+  return {buf, end};
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view text) {

@@ -3,6 +3,9 @@
 // format every exporter shares.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -10,6 +13,7 @@
 #include <string>
 
 #include "ev/config/scenario.h"
+#include "ev/util/rng.h"
 
 namespace {
 
@@ -484,6 +488,57 @@ TEST(FormatDouble, ShortestRoundTrippableForm) {
                          0.30000000000000004, -7.25e9}) {
     EXPECT_EQ(std::strtod(format_double(v).c_str(), nullptr), v);
   }
+}
+
+// The precision search format_double used to run: "%.*g" for p = 1..17 until
+// strtod reads the value back. Kept here as the oracle of the faster search.
+std::string format_double_by_precision_search(double value) {
+  char buf[40];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
+    if (std::strtod(buf, nullptr) == value) break;
+  }
+  return buf;
+}
+
+TEST(FormatDouble, MatchesPrecisionSearch) {
+  using limits = std::numeric_limits<double>;
+  std::size_t checked = 0;
+  const auto expect_same = [&](double v) {
+    ++checked;
+    EXPECT_EQ(format_double(v), format_double_by_precision_search(v))
+        << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+  };
+  // v and its two neighbours, with either sign.
+  const auto expect_around = [&](double v) {
+    for (const double u : {std::nextafter(v, -limits::infinity()), v,
+                           std::nextafter(v, limits::infinity())}) {
+      expect_same(u);
+      expect_same(-u);
+    }
+  };
+
+  for (const double v : {0.0, limits::infinity(), limits::quiet_NaN(), limits::min(),
+                         limits::max(), limits::denorm_min()}) {
+    expect_same(v);
+    expect_same(-v);
+  }
+  for (int e = -1074; e <= 1023; ++e) expect_around(std::ldexp(1.0, e));
+  for (int n = -323; n <= 308; ++n) {
+    const std::string text = "1e" + std::to_string(n);
+    expect_around(std::strtod(text.c_str(), nullptr));
+  }
+  // Integers past 2^53, where the shortest form and "%g" differ most: a run
+  // of consecutive doubles after each power of two, and random ones.
+  ev::util::Rng rng(19);
+  for (int e = 53; e < 60; ++e) {
+    double v = std::ldexp(1.0, e);
+    for (int i = 0; i < 1000; ++i, v = std::nextafter(v, limits::infinity())) expect_same(v);
+  }
+  for (int i = 0; i < 20000; ++i)
+    expect_same(static_cast<double>(rng.uniform_int(std::int64_t{1} << 53, std::int64_t{1} << 60)));
+  for (int i = 0; i < 200000; ++i) expect_same(std::bit_cast<double>(rng.next_u64()));
+  EXPECT_GT(checked, 240000U);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // inside the incremental FitnessEvaluator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -107,6 +108,28 @@ TEST(ProbKernel, CombinedTailDegeneratesToSingleChannels) {
   // Convolving a second channel in can only add miss mass.
   EXPECT_GE(combined_tail_above(2.5, 12, 0.2, 3), poisson_tail_above(2.5, 3));
   EXPECT_LE(combined_tail_above(2.5, 12, 0.2, 3), 1.0);
+}
+
+// The direct convolution combined_tail_above used to evaluate: both pmfs
+// recomputed for every (total, a) pair, O(k^3). Kept here as the oracle of
+// the tabled one.
+double combined_tail_by_direct_convolution(double mean, int n, double p, int k) {
+  if (k < 0) return 1.0;
+  double cum = 0.0;
+  for (int total = 0; total <= k; ++total)
+    for (int a = 0; a <= total; ++a)
+      cum += poisson_pmf(mean, a) * binomial_pmf(n, p, total - a);
+  return std::clamp(1.0 - cum, 0.0, 1.0);
+}
+
+TEST(ProbKernel, CombinedTailMatchesDirectConvolution) {
+  for (const double mean : {0.0, 1e-6, 0.3, 2.0, 40.0})
+    for (const int n : {0, 1, 7, 64})
+      for (const double p : {0.0, 1e-4, 0.3, 1.0})
+        for (const int k : {-1, 0, 1, 5, 64})
+          EXPECT_EQ(combined_tail_above(mean, n, p, k),
+                    combined_tail_by_direct_convolution(mean, n, p, k))
+              << "mean " << mean << " n " << n << " p " << p << " k " << k;
 }
 
 // -------------------------------------------------- error-model derivation ----
