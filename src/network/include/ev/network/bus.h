@@ -31,8 +31,12 @@ class Bus {
   /// Queues \p frame for transmission from its source node. Returns false if
   /// the protocol rejects it (payload too large, no slot assigned, ...) or
   /// the medium is in an injected bus-off recovery window.
-  /// If frame.created is unset (zero) it is stamped with the current time;
-  /// gateways keep the original stamp so end-to-end latency spans hops.
+  /// This is the one place a frame is stamped, once the bus-off gate has
+  /// passed: frame.created, if unset (zero), becomes the current time
+  /// (gateways keep the original stamp so end-to-end latency spans hops),
+  /// and frame.sequence becomes the bus's next sequence number, the FIFO
+  /// key of ArbitrationQueue. A frame the protocol then rejects still uses
+  /// its number; sequences stay increasing, which is all the order needs.
   bool send(Frame frame);
 
   /// Registers a broadcast receiver; every delivered frame is passed to all
@@ -95,7 +99,7 @@ class Bus {
 
  protected:
   /// Protocol-specific media access; called by send() once the fault gate
-  /// has passed. Same contract as send().
+  /// has passed, with \p frame already stamped. Same contract as send().
   virtual bool do_send(Frame frame) = 0;
   /// Transmission time of \p bits at the nominal rate.
   [[nodiscard]] sim::Time tx_time(std::size_t bits) const noexcept;
@@ -109,8 +113,6 @@ class Bus {
   /// subclasses register their own metrics lazily (e.g. only once a fault
   /// model is armed) without widening the default metric set.
   [[nodiscard]] obs::MetricsRegistry* observer() const noexcept { return metrics_; }
-  /// Stamps and returns the next frame sequence number.
-  [[nodiscard]] std::uint64_t next_sequence() noexcept { return seq_++; }
 
  private:
   /// Consumes one pending drop/corruption fault for \p frame; true when the

@@ -38,7 +38,9 @@ struct CanErrorModel {
 };
 
 /// CAN 2.0A bus. Payload limited to 8 bytes; frames exceeding it are
-/// rejected by send().
+/// rejected by send(). Waiting frames sit in an ArbitrationQueue: whenever
+/// the medium goes idle its top() (lowest id, FIFO among equal ids) wins,
+/// in O(log n) however deep the backlog of an overloaded bus grows.
 class CanBus : public Bus {
  public:
   /// \p bit_rate_bps is the nominal rate (classic high-speed CAN: 500 kbit/s;
@@ -79,9 +81,8 @@ class CanBus : public Bus {
   /// offset from now, or unset when this attempt goes through clean.
   [[nodiscard]] std::optional<sim::Time> next_error_within(sim::Time tx);
 
-  std::vector<Frame> pending_;  // arbitration pool, winner = min id then FIFO
-  std::optional<Frame> transmitting_;
-  bool busy_ = false;
+  ArbitrationQueue pending_;
+  std::optional<Frame> transmitting_;  // set while the medium is busy
   // Injected-error state (inert until arm_error_model).
   bool error_armed_ = false;
   CanErrorModel error_model_;

@@ -32,7 +32,10 @@ struct FlexRayConfig {
 
 /// FlexRay bus. Frames whose id has a static slot are state-buffered and
 /// sent in their slot every cycle; all other ids contend for the dynamic
-/// segment in priority (ascending id) order.
+/// segment through an ArbitrationQueue (ascending id, FIFO among equal ids).
+/// Each cycle serves its top() while the frame fits the minislots left, so a
+/// frame that does not fit, and everything behind it, carries over to the
+/// next cycle.
 class FlexRayBus : public Bus {
  public:
   FlexRayBus(sim::Simulator& sim, std::string name, FlexRayConfig config,
@@ -47,8 +50,6 @@ class FlexRayBus : public Bus {
   [[nodiscard]] double static_segment_s() const noexcept { return static_segment_s_; }
   /// Configured slots.
   [[nodiscard]] const FlexRayConfig& config() const noexcept { return config_; }
-  /// Dynamic frames waiting for minislots.
-  [[nodiscard]] std::size_t dynamic_backlog() const noexcept { return dynamic_queue_.size(); }
 
   /// Encoded frame size: header (5 bytes) + payload + trailer (3 bytes),
   /// byte-start sequences (10 bits/byte) plus start/end sequences.
@@ -69,7 +70,7 @@ class FlexRayBus : public Bus {
   double cycle_s_;           ///< Full cycle.
   std::map<std::uint32_t, std::size_t> static_index_;  ///< id -> slot position.
   std::vector<std::optional<Frame>> static_buffer_;
-  std::vector<Frame> dynamic_queue_;
+  ArbitrationQueue dynamic_queue_;
   bool started_ = false;
 };
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <vector>
 
@@ -64,7 +65,7 @@ class MostBus : public Bus {
   sim::Time frame_period_;  ///< frame_period_s() as integer time.
   std::size_t frame_bytes_;  ///< Total bytes per MOST frame.
   std::size_t sync_bytes_ = 0;
-  std::vector<Frame> async_queue_;
+  std::deque<Frame> async_queue_;
   std::size_t async_progress_bytes_ = 0;  ///< Bytes of queue head already carried.
   bool started_ = false;
   sim::Time grid_origin_{};  ///< The start() time every frame is aligned to.

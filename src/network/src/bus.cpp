@@ -27,6 +27,8 @@ bool Bus::send(Frame frame) {
     if (metrics_) metrics_->add(busoff_rejected_metric_);
     return false;
   }
+  if (frame.created == sim::Time{}) frame.created = sim_->now();
+  frame.sequence = seq_++;
   return do_send(std::move(frame));
 }
 

@@ -19,24 +19,14 @@ std::size_t CanBus::frame_bits(std::size_t payload_bytes) noexcept {
 
 bool CanBus::do_send(Frame frame) {
   if (frame.payload_size > 8) return false;
-  if (frame.created == sim::Time{}) frame.created = simulator().now();
-  frame.sequence = next_sequence();
-  pending_.push_back(std::move(frame));
+  pending_.push(std::move(frame));
   try_start_transmission();
   return true;
 }
 
 void CanBus::try_start_transmission() {
-  if (busy_ || pending_.empty()) return;
-  // Arbitration: lowest identifier wins; FIFO among equal identifiers.
-  auto winner = std::min_element(pending_.begin(), pending_.end(),
-                                 [](const Frame& a, const Frame& b) {
-                                   if (a.id != b.id) return a.id < b.id;
-                                   return a.sequence < b.sequence;
-                                 });
-  transmitting_ = std::move(*winner);
-  pending_.erase(winner);
-  busy_ = true;
+  if (transmitting_ || pending_.empty()) return;
+  transmitting_ = pending_.pop();
   const sim::Time tx = tx_time(frame_bits(transmitting_->payload_size));
   if (error_armed_) {
     if (const std::optional<sim::Time> hit = next_error_within(tx)) {
@@ -57,7 +47,6 @@ void CanBus::try_start_transmission() {
 void CanBus::finish_transmission() {
   deliver(*transmitting_);
   transmitting_.reset();
-  busy_ = false;
   try_start_transmission();
 }
 
@@ -65,9 +54,8 @@ void CanBus::abort_transmission() {
   // CAN automatic retransmission: the destroyed frame re-enters arbitration
   // keeping its original sequence (and hence its FIFO position among equal
   // identifiers) — errors delay frames, they never drop them.
-  pending_.push_back(std::move(*transmitting_));
+  pending_.push(std::move(*transmitting_));
   transmitting_.reset();
-  busy_ = false;
   try_start_transmission();
 }
 

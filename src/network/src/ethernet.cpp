@@ -49,8 +49,6 @@ bool EthernetSwitch::do_send(Frame frame) {
   if (port_it == node_port_.end()) return false;
   const auto route_it = routes_.find(frame.id);
   if (route_it == routes_.end()) return false;
-  if (frame.created == sim::Time{}) frame.created = simulator().now();
-  frame.sequence = next_sequence();
 
   // Uplink transmission (node -> switch) plus store-and-forward processing.
   const sim::Time uplink = tx_time(frame_bits(frame.payload_size));

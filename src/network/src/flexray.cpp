@@ -1,6 +1,5 @@
 #include "ev/network/flexray.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -29,8 +28,6 @@ FlexRayBus::FlexRayBus(sim::Simulator& sim, std::string name, FlexRayConfig conf
 }
 
 bool FlexRayBus::do_send(Frame frame) {
-  if (frame.created == sim::Time{}) frame.created = simulator().now();
-  frame.sequence = next_sequence();
   const auto it = static_index_.find(frame.id);
   if (it != static_index_.end()) {
     frame.payload_size = config_.static_slots[it->second].payload_bytes;
@@ -41,7 +38,7 @@ bool FlexRayBus::do_send(Frame frame) {
   const double tx_s = static_cast<double>(frame_bits(frame.payload_size)) / bit_rate();
   const double dyn_s = static_cast<double>(config_.minislot_count) * config_.minislot_s;
   if (tx_s > dyn_s) return false;
-  dynamic_queue_.push_back(std::move(frame));
+  dynamic_queue_.push(std::move(frame));
   return true;
 }
 
@@ -55,7 +52,7 @@ void FlexRayBus::run_cycle() {
   // --- Static segment: each slot fires at its fixed offset -----------------
   for (std::size_t i = 0; i < static_buffer_.size(); ++i) {
     if (!static_buffer_[i]) continue;
-    Frame frame = *static_buffer_[i];
+    Frame frame = std::move(*static_buffer_[i]);
     static_buffer_[i].reset();
     const double offset_s = slot_s_ * static_cast<double>(i);
     const double tx_s =
@@ -65,31 +62,23 @@ void FlexRayBus::run_cycle() {
                             [this, frame = std::move(frame)] { deliver(frame); });
   }
 
-  // --- Dynamic segment: ascending id, minislot-counted ----------------------
-  std::sort(dynamic_queue_.begin(), dynamic_queue_.end(), [](const Frame& a, const Frame& b) {
-    if (a.id != b.id) return a.id < b.id;
-    return a.sequence < b.sequence;
-  });
+  // --- Dynamic segment: arbitration order, minislot-counted -----------------
   double used_s = 0.0;
   const double dyn_budget_s =
       static_cast<double>(config_.minislot_count) * config_.minislot_s;
-  std::size_t served = 0;
-  for (const Frame& frame : dynamic_queue_) {
-    const double tx_s = static_cast<double>(frame_bits(frame.payload_size)) / bit_rate();
+  while (!dynamic_queue_.empty()) {
+    const double tx_s =
+        static_cast<double>(frame_bits(dynamic_queue_.top().payload_size)) / bit_rate();
     // A dynamic frame occupies a whole number of minislots.
     const double occupied_s =
         std::ceil(tx_s / config_.minislot_s) * config_.minislot_s;
     if (used_s + occupied_s > dyn_budget_s) break;  // id too large for what remains
     const double offset_s = static_segment_s_ + used_s;
     account_busy(sim::Time::seconds(tx_s));
-    Frame copy = frame;
     simulator().schedule_in(sim::Time::seconds(offset_s + tx_s),
-                            [this, copy = std::move(copy)] { deliver(copy); });
+                            [this, frame = dynamic_queue_.pop()] { deliver(frame); });
     used_s += occupied_s;
-    ++served;
   }
-  dynamic_queue_.erase(dynamic_queue_.begin(),
-                       dynamic_queue_.begin() + static_cast<std::ptrdiff_t>(served));
 }
 
 }  // namespace ev::network

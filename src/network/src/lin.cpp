@@ -29,8 +29,6 @@ std::size_t LinBus::frame_bits(std::size_t payload_bytes) noexcept {
 bool LinBus::do_send(Frame frame) {
   for (std::size_t i = 0; i < schedule_.size(); ++i) {
     if (schedule_[i].frame_id == frame.id) {
-      if (frame.created == sim::Time{}) frame.created = simulator().now();
-      frame.sequence = next_sequence();
       frame.payload_size = schedule_[i].payload_bytes;
       buffered_[i] = std::move(frame);
       return true;
@@ -51,7 +49,7 @@ void LinBus::start(sim::Time start) {
 void LinBus::run_slot(std::size_t index) {
   const LinSlot& slot = schedule_[index];
   if (!buffered_[index]) return;  // header answered by nobody: bus idles
-  Frame frame = *buffered_[index];
+  Frame frame = std::move(*buffered_[index]);
   buffered_[index].reset();
   const sim::Time tx = tx_time(frame_bits(slot.payload_bytes));
   account_busy(tx);

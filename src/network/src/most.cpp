@@ -27,8 +27,6 @@ std::size_t MostBus::async_bytes_per_frame() const noexcept {
 }
 
 bool MostBus::do_send(Frame frame) {
-  if (frame.created == sim::Time{}) frame.created = simulator().now();
-  frame.sequence = next_sequence();
   const auto it = streams_.find(frame.id);
   if (it != streams_.end()) {
     // Isochronous: the sample block is carried in the reserved bytes of the
@@ -88,7 +86,7 @@ void MostBus::run_frame() {
     budget -= remaining;
     account_busy(tx_time(remaining * 8));
     Frame done = std::move(head);
-    async_queue_.erase(async_queue_.begin());
+    async_queue_.pop_front();
     async_progress_bytes_ = 0;
     // Last fragment lands at the end of this frame period.
     simulator().schedule_in(frame_period_,

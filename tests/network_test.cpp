@@ -1,13 +1,16 @@
 // Unit tests for the in-vehicle network models: CAN (+ response-time
-// analysis), LIN, FlexRay, MOST, switched Ethernet (strict priority, CBS,
+// analysis), LIN, FlexRay, the CAN/FlexRay arbitration order against
+// test-local oracles, MOST, switched Ethernet (strict priority, CBS,
 // time-aware gates), PTP synchronization, the gateway, and the Fig. 1
 // topology builder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -455,6 +458,231 @@ TEST(FlexRay, StateSemanticsOnStaticSlots) {
   sim.run_until(Time::seconds(bus.cycle_time_s() * 1.5));
   ASSERT_EQ(seqs.size(), 1u);
   EXPECT_EQ(seqs[0], 1u);
+}
+
+// ------------------------------------------------ arbitration oracles ----
+
+// Test-local reference CAN MAC: the linear-scan rule the bus used before its
+// ArbitrationQueue (min_element over the pending pool by (id, sequence), then
+// erase), with CanBus's seeded error process, error recovery and automatic
+// retransmission written out again.
+class LinearScanCan : public Bus {
+ public:
+  LinearScanCan(Simulator& sim, double bit_rate_bps, const CanErrorModel& model)
+      : Bus(sim, "oracle", bit_rate_bps), model_(model), rng_(model.seed) {
+    if (model.poisson_rate_per_s > 0.0)
+      next_error_s_ = sim.now().to_seconds() + rng_.exponential(model.poisson_rate_per_s);
+  }
+  [[nodiscard]] std::size_t errors() const noexcept { return errors_; }
+
+ protected:
+  bool do_send(Frame frame) override {
+    if (frame.payload_size > 8) return false;
+    pending_.push_back(std::move(frame));
+    start();
+    return true;
+  }
+
+ private:
+  void start() {
+    if (transmitting_ || pending_.empty()) return;
+    const auto winner = std::min_element(pending_.begin(), pending_.end(),
+                                         [](const Frame& a, const Frame& b) {
+                                           if (a.id != b.id) return a.id < b.id;
+                                           return a.sequence < b.sequence;
+                                         });
+    transmitting_ = std::move(*winner);
+    pending_.erase(winner);
+    const Time tx = tx_time(CanBus::frame_bits(transmitting_->payload_size));
+    if (const std::optional<Time> hit = error_within(tx)) {
+      ++errors_;
+      const Time recovery = *hit + tx_time(CanBus::kErrorRecoveryBits);
+      account_busy(recovery);
+      simulator().schedule_in(recovery, [this] {
+        pending_.push_back(std::move(*transmitting_));  // keeps its sequence
+        transmitting_.reset();
+        start();
+      });
+      return;
+    }
+    account_busy(tx);
+    simulator().schedule_in(tx, [this] {
+      deliver(*transmitting_);
+      transmitting_.reset();
+      start();
+    });
+  }
+
+  std::optional<Time> error_within(Time tx) {
+    const double now_s = simulator().now().to_seconds();
+    const double tx_s = tx.to_seconds();
+    double hit_s = std::numeric_limits<double>::infinity();
+    if (model_.poisson_rate_per_s > 0.0) {
+      while (next_error_s_ < now_s) next_error_s_ += rng_.exponential(model_.poisson_rate_per_s);
+      if (next_error_s_ < now_s + tx_s) {
+        hit_s = next_error_s_ - now_s;
+        next_error_s_ += rng_.exponential(model_.poisson_rate_per_s);
+      }
+    }
+    if (model_.per_attempt_prob > 0.0 && rng_.bernoulli(model_.per_attempt_prob))
+      hit_s = std::min(hit_s, tx_s);
+    if (!std::isfinite(hit_s)) return std::nullopt;
+    return Time::seconds(hit_s);
+  }
+
+  std::vector<Frame> pending_;
+  std::optional<Frame> transmitting_;
+  CanErrorModel model_;
+  ev::util::Rng rng_;
+  double next_error_s_ = std::numeric_limits<double>::infinity();
+  std::size_t errors_ = 0;
+};
+
+// What a subscriber sees of one delivery: (id, source, sequence, when).
+using DeliveryRecord = std::tuple<std::uint32_t, NodeId, std::uint64_t, Time>;
+
+// One send of the arbitration-order loads; its index in the load is the
+// frame's source, so every delivery names the send it came from.
+struct TimedSend {
+  Time at;
+  std::uint32_t id;
+  std::size_t bytes;
+};
+
+void record_into(Bus& bus, std::vector<DeliveryRecord>& out) {
+  bus.subscribe([&out](const Frame& f, Time at) {
+    out.emplace_back(f.id, f.source, f.sequence, at);
+  });
+}
+
+TEST(ArbitrationOrder, CanMatchesLinearScanWithRetransmissions) {
+  constexpr double kBitRate = 500e3;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    ev::util::Rng rng(seed);
+    // About 150% of the bus for 200 ms from three ids (so most contenders
+    // tie on id), bursts of equal ids at one instant, and a few oversized
+    // frames the bus rejects.
+    std::vector<TimedSend> sends;
+    const auto id = [&rng] { return 0x120 + static_cast<std::uint32_t>(rng.uniform_int(0, 2)); };
+    for (int i = 0; i < 1200; ++i)
+      sends.push_back({Time::ns(rng.uniform_int(0, 200'000'000)), id(),
+                       static_cast<std::size_t>(rng.uniform_int(0, 9))});
+    for (int b = 0; b < 20; ++b) {
+      const Time at = Time::ns(rng.uniform_int(0, 200'000'000));
+      const std::uint32_t burst_id = id();
+      for (int i = 0; i < 8; ++i) sends.push_back({at, burst_id, 8});
+    }
+    for (const bool armed : {false, true}) {
+      CanErrorModel model;
+      if (armed) {
+        model.poisson_rate_per_s = 300.0;
+        model.per_attempt_prob = 0.1;
+        model.seed = seed + 100;
+      }
+      Simulator sim, oracle_sim;
+      CanBus bus(sim, "can", kBitRate);
+      LinearScanCan oracle(oracle_sim, kBitRate, model);
+      bus.arm_error_model(model);
+      std::vector<DeliveryRecord> got, want;
+      record_into(bus, got);
+      record_into(oracle, want);
+      std::size_t accepted = 0;
+      for (std::size_t i = 0; i < sends.size(); ++i) {
+        Frame f;
+        f.id = sends[i].id;
+        f.source = static_cast<NodeId>(i);
+        f.payload_size = sends[i].bytes;
+        sim.schedule_at(sends[i].at, [&bus, f, &accepted] { accepted += bus.send(f) ? 1 : 0; });
+        oracle_sim.schedule_at(sends[i].at, [&oracle, f] { (void)oracle.send(f); });
+      }
+      sim.run();
+      oracle_sim.run();
+      ASSERT_EQ(got.size(), accepted) << "seed " << seed;  // errors never lose frames
+      EXPECT_EQ(got, want) << "seed " << seed << (armed ? " armed" : " clean");
+      EXPECT_EQ(bus.fault_error_count(), oracle.errors()) << "seed " << seed;
+      if (armed) {
+        EXPECT_GT(bus.fault_error_count(), 0u) << "seed " << seed;
+      }
+      EXPECT_EQ(bus.utilization(), oracle.utilization()) << "seed " << seed;
+    }
+  }
+}
+
+TEST(ArbitrationOrder, FlexRayDynamicMatchesPerCycleSort) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Simulator sim;
+    FlexRayConfig cfg = small_flexray();
+    cfg.minislot_count = 20;  // 100 us of dynamic segment per cycle
+    FlexRayBus bus(sim, "fr", cfg);
+    const Time cycle = Time::seconds(bus.cycle_time_s());
+    ev::util::Rng rng(seed);
+
+    // About twice what the dynamic segment carries for 40 ms, from a few ids
+    // (with bursts of one id at one instant), then time to drain. No send
+    // falls on a cycle start, so "sent before the cycle" is unambiguous.
+    std::vector<TimedSend> sends;
+    const auto id = [&rng] {
+      return rng.bernoulli(0.8) ? 0x100 + static_cast<std::uint32_t>(rng.uniform_int(0, 2))
+                                : static_cast<std::uint32_t>(rng.uniform_int(0x100, 0x1FF));
+    };
+    const auto bytes = [&rng] { return static_cast<std::size_t>(rng.uniform_int(2, 64)); };
+    for (int i = 0; i < 500; ++i)
+      sends.push_back({Time::ns(rng.uniform_int(0, 40'000'000)), id(), bytes()});
+    for (int b = 0; b < 10; ++b) {
+      const Time at = Time::ns(rng.uniform_int(0, 40'000'000));
+      const std::uint32_t burst_id = id();
+      for (int i = 0; i < 6; ++i) sends.push_back({at, burst_id, bytes()});
+    }
+    for (TimedSend& s : sends)
+      if (s.at % cycle == Time{}) s.at += Time::ns(1);
+    std::stable_sort(sends.begin(), sends.end(),
+                     [](const TimedSend& a, const TimedSend& b) { return a.at < b.at; });
+
+    std::vector<DeliveryRecord> got;
+    record_into(bus, got);
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      Frame f;
+      f.id = sends[i].id;
+      f.source = static_cast<NodeId>(i);
+      f.payload_size = sends[i].bytes;
+      sim.schedule_at(sends[i].at, [&bus, f] { ASSERT_TRUE(bus.send(f)); });
+    }
+    bus.start();
+    sim.run_until(Time::ms(200));
+
+    // Reference: at each cycle start every frame sent before it is pending,
+    // sorted by (id, sequence) and served while it fits the minislots left.
+    // Sends are scheduled in time order, so a frame's sequence is its index.
+    const double budget_s = static_cast<double>(cfg.minislot_count) * cfg.minislot_s;
+    std::vector<std::size_t> pending;
+    std::vector<DeliveryRecord> want;
+    std::size_t next = 0;
+    std::size_t carried_cycles = 0;
+    for (Time start{}; next < sends.size() || !pending.empty(); start += cycle) {
+      while (next < sends.size() && sends[next].at < start) pending.push_back(next++);
+      std::sort(pending.begin(), pending.end(), [&](std::size_t a, std::size_t b) {
+        if (sends[a].id != sends[b].id) return sends[a].id < sends[b].id;
+        return a < b;
+      });
+      double used_s = 0.0;
+      std::size_t served = 0;
+      for (const std::size_t i : pending) {
+        const double tx_s =
+            static_cast<double>(FlexRayBus::frame_bits(sends[i].bytes)) / bus.bit_rate();
+        const double occupied_s = std::ceil(tx_s / cfg.minislot_s) * cfg.minislot_s;
+        if (used_s + occupied_s > budget_s) break;
+        want.emplace_back(sends[i].id, static_cast<NodeId>(i), i,
+                          start + Time::seconds(bus.static_segment_s() + used_s + tx_s));
+        used_s += occupied_s;
+        ++served;
+      }
+      pending.erase(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(served));
+      if (!pending.empty()) ++carried_cycles;
+    }
+    EXPECT_GT(carried_cycles, 50u) << "seed " << seed;  // the budget overflowed
+    ASSERT_LT(std::get<3>(want.back()), Time::ms(200)) << "seed " << seed;
+    EXPECT_EQ(got, want) << "seed " << seed;
+  }
 }
 
 // ----------------------------------------------------------------- MOST ----
