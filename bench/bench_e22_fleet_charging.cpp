@@ -8,8 +8,7 @@
 // strand), and dead-lettered accounting messages are journaled and
 // redelivered until billing converges. Every run is a pure function of
 // (spec, seed): reports are byte-identical across reruns and worker counts,
-// so the exported snapshot carries no wall-clock gauges at all — the
-// fleet-determinism CI job byte-compares it across --jobs values.
+// so the exported snapshot carries no wall-clock gauges at all.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -90,8 +89,8 @@ struct CampaignAggregate {
 
 CampaignAggregate run_campaign(const FleetSpec& base) {
   CampaignAggregate agg;
-  // Each rung is an independent fleet on a private worker pool; the rungs
-  // themselves fan out over the bench's job budget and fold in seed order.
+  // Each rung is an independent serial fleet run; the rungs fan out over the
+  // bench's job budget and fold in seed order.
   evbench::run_seeded_campaign(
       kFirstSeed, 1, kSeeds, evbench::default_jobs(),
       [&](std::uint64_t seed, int) {
@@ -200,30 +199,26 @@ void run_experiment() {
 }
 
 void bm_fleet_run(benchmark::State& state) {
-  // One full 15-minute fleet run per iteration (serial inner loop).
-  FleetSpec spec = base_spec();
-  spec.stations = 24;
+  // One 15-minute run per iteration of the shipped depot yard's shape
+  // (examples/scenarios/depot_fleet.fleet: 96 stations on 6 feeders behind
+  // 400 kW, without its fault timeline): the serial tick loop's cost.
+  FleetSpec spec;
+  spec.name = "e22-depot";
+  spec.stations = 96;
+  spec.feeders = 6;
   spec.sim_hours = 0.25;
+  spec.grid_capacity_kw = 400.0;
+  spec.arrival_rate_per_station_per_h = 1.2;
+  spec.session_energy_min_kwh = 4.0;
+  spec.session_energy_max_kwh = 18.0;
+  spec.rogue_stations = 2;
+  spec.msg_loss_probability = 0.02;
   for (auto _ : state) {
     spec.seed += 1;  // defeat any caching while staying deterministic in shape
     benchmark::DoNotOptimize(ev::fleet::run_fleet(spec, 1));
   }
 }
 BENCHMARK(bm_fleet_run)->Unit(benchmark::kMillisecond);
-
-void bm_fleet_tick_parallel(benchmark::State& state) {
-  // Same run fanned over worker threads: the station-advance scaling path.
-  FleetSpec spec = base_spec();
-  spec.stations = 96;
-  spec.sim_hours = 0.1;
-  const int jobs = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    spec.seed += 1;
-    benchmark::DoNotOptimize(ev::fleet::run_fleet(spec, jobs));
-  }
-}
-BENCHMARK(bm_fleet_tick_parallel)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
 
 void bm_retry_pump(benchmark::State& state) {
   // The per-tick cost of pumping a loaded retry queue that never delivers.

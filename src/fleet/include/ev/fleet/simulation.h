@@ -1,14 +1,12 @@
 /// \file simulation.h
-/// The fleet tick loop: binds the station population, the central system,
-/// the grid fault timeline, and util::WorkerPool into one
-/// deterministic run. Per tick: (1) grid state is read off the immutable
-/// fault timeline; (2) the central system rebalances when its cadence is due
-/// or the grid changed; (3) every station advances in parallel, each writing
-/// only its own outbox slot and drawing only from its own RNG; (4) the
-/// outboxes are folded serially in station-index order through the central
-/// system; (5) the grid-safety invariant (total draw <= live capacity) is
-/// checked. Steps 3's handout order is the only nondeterminism and step 4
-/// erases it, so reports are byte-identical for any --jobs value.
+/// The fleet tick loop: binds the station population, the central system
+/// and the grid fault timeline into one deterministic, single-threaded run.
+/// Per tick: (1) grid state is read off the immutable fault timeline; (2) the
+/// central system rebalances when its cadence is due or the grid changed;
+/// (3) in station-index order, each station advances (drawing only from its
+/// own RNG) and its outgoing messages are folded through the central system,
+/// whose replies go back to that station; (4) the grid-safety invariant
+/// (total draw <= live capacity) is checked. Same spec, same report.
 #pragma once
 
 #include <array>
@@ -56,15 +54,17 @@ struct FleetResult {
   CentralStats central;
 };
 
-/// Runs \p spec on up to \p jobs worker threads (resolve_jobs semantics).
-/// When \p metrics is non-null, fleet.* counters/gauges/histograms are
-/// recorded into it — all derived from simulation state, never wall-clock.
+/// Runs \p spec on the calling thread. \p jobs is ignored: it stays only
+/// because the e2ebench harness times `jobs=2`/`jobs=1` fleet spans, and it
+/// goes with those spans in the benchmark change of ROADMAP item 1. When
+/// \p metrics is non-null, fleet.* counters/gauges/histograms are recorded
+/// into it — all derived from simulation state, never wall-clock.
 /// Throws std::invalid_argument when the spec fails validation.
 [[nodiscard]] FleetResult run_fleet(const config::FleetSpec& spec, int jobs,
                                     obs::MetricsRegistry* metrics = nullptr);
 
 /// Writes the deterministic single-line JSON report (shortest-round-trip
-/// doubles; byte-identical across --jobs values and same-seed reruns).
+/// doubles; byte-identical across same-seed reruns).
 void write_fleet_json(const FleetResult& result, std::ostream& out);
 
 /// write_fleet_json into a string.

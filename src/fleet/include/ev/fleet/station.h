@@ -9,10 +9,10 @@
 /// reply — so a fleet that loses its control plane degrades to a known-safe
 /// draw the central system can reserve for, instead of an unbounded one.
 ///
-/// advance() is called once per tick from util::WorkerPool and
-/// touches only this station's state plus its private seeded RNG, which is
-/// what makes the per-tick station fan embarrassingly parallel and the run
-/// byte-identical for any worker count.
+/// advance() is called once per tick and touches only this station's state
+/// plus its private seeded RNG; deliver() touches only this station. That is
+/// what lets run_fleet fold each station's messages right after its advance
+/// instead of after the whole population has advanced.
 #pragma once
 
 #include <cstdint>
@@ -83,11 +83,11 @@ class ChargePoint {
   /// One control tick: lease check, vehicle arrival, charge integration,
   /// meter/heartbeat cadence, then one retry-queue pump. Messages that got
   /// through the channel this tick are appended to \p outbox (for the
-  /// serial central fold). \p channel_up reflects partitions/blackouts;
+  /// central fold). \p channel_up reflects partitions/blackouts;
   /// per-send Bernoulli loss comes on top from the station RNG.
   void advance(double now_s, double dt_s, bool channel_up, std::vector<Message>& outbox);
 
-  /// Serial phase: a central reply reached the station. Renews the
+  /// Fold phase: a central reply reached the station. Renews the
   /// liveness lease, flushes the dead-letter journal, and drives the
   /// session state machine.
   void deliver(const Reply& reply, double now_s);

@@ -14,7 +14,6 @@
 #include "ev/util/crc.h"
 #include "ev/util/json.h"
 #include "ev/util/rng.h"
-#include "ev/util/worker_pool.h"
 
 namespace ev::fleet {
 namespace {
@@ -112,7 +111,7 @@ void record_metrics(const FleetResult& result, obs::MetricsRegistry& metrics) {
 
 /// Canonical end-state summary: one line per station plus the central
 /// totals. CRC-32 of this text is the run digest the determinism CI job
-/// compares across --jobs values.
+/// compares across same-seed reruns.
 std::uint32_t end_state_digest(const std::vector<ChargePoint>& stations,
                                const CentralSystem& central,
                                const FleetResult& result) {
@@ -136,7 +135,7 @@ std::uint32_t end_state_digest(const std::vector<ChargePoint>& stations,
 
 }  // namespace
 
-FleetResult run_fleet(const config::FleetSpec& spec, int jobs,
+FleetResult run_fleet(const config::FleetSpec& spec, int /*jobs*/,
                       obs::MetricsRegistry* metrics) {
   spec.validate();
 
@@ -192,10 +191,8 @@ FleetResult run_fleet(const config::FleetSpec& spec, int jobs,
   if (result.ticks == 0) result.ticks = 1;
   result.min_headroom_kw = spec.grid_capacity_kw;
 
-  util::WorkerPool pool(jobs);
-  std::vector<std::vector<Message>> outboxes(n);
+  std::vector<Message> outbox;
   std::vector<bool> reachable(n, true);
-  const int count = static_cast<int>(n);
   double next_rebalance_s = 0.0;
   double prev_t = 0.0;
   double capacity_kw = spec.grid_capacity_kw;
@@ -223,24 +220,17 @@ FleetResult run_fleet(const config::FleetSpec& spec, int jobs,
     }
     prev_t = t;
 
-    // (3) Parallel station advance: each worker writes its own outbox slot
-    // and draws its own RNG only, so handout order cannot leak into state.
-    pool.run(count, [&](int i) {
-      const auto idx = static_cast<std::uint32_t>(i);
-      outboxes[idx].clear();
-      stations[idx].advance(t, spec.tick_s, reachable[idx], outboxes[idx]);
-    });
-
-    // (4) Serial fold in station-index order erases scheduling order: the
-    // central system sees the same message sequence for any --jobs value.
+    // (3) Advance each station, then fold its messages through the central
+    // system, in station-index order. advance() reads only the station's own
+    // state and reachable[i], and deliver() writes only station i, so this
+    // equals advancing every station first and folding after.
     for (std::uint32_t i = 0; i < n; ++i) {
-      for (const Message& msg : outboxes[i]) {
-        const Reply reply = central.process(msg, t);
-        stations[i].deliver(reply, t);
-      }
+      outbox.clear();
+      stations[i].advance(t, spec.tick_s, reachable[i], outbox);
+      for (const Message& msg : outbox) stations[i].deliver(central.process(msg, t), t);
     }
 
-    // (5) Grid-safety invariant and per-tick observables.
+    // (4) Grid-safety invariant and per-tick observables.
     double draw_a = 0.0;
     std::uint32_t throttled = 0;
     for (const ChargePoint& cp : stations) {

@@ -15,6 +15,28 @@ namespace ev::security {
 /// A symmetric key (arbitrary length; 32 bytes recommended).
 using Key = std::vector<std::uint8_t>;
 
+/// HMAC-SHA-256 under one key, kept as the inner and outer hashers after
+/// they absorbed the ipad and opad blocks (RFC 2104 §4). A tag then costs
+/// the message's own blocks plus one outer block, not two more for the pads.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(std::span<const std::uint8_t> key) noexcept;
+
+  /// The inner hasher with the ipad block absorbed: update() it with the
+  /// message, then hand it to finish().
+  [[nodiscard]] Sha256 begin() const noexcept { return inner_; }
+
+  /// The tag of the message \p inner (from begin()) has absorbed.
+  [[nodiscard]] Digest finish(Sha256 inner) const noexcept;
+
+  /// The tag of \p message.
+  [[nodiscard]] Digest mac(std::span<const std::uint8_t> message) const noexcept;
+
+ private:
+  Sha256 inner_;
+  Sha256 outer_;
+};
+
 /// HMAC-SHA-256 of \p message under \p key.
 [[nodiscard]] Digest hmac_sha256(std::span<const std::uint8_t> key,
                                  std::span<const std::uint8_t> message) noexcept;

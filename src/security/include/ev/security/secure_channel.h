@@ -68,10 +68,8 @@ class SecureChannel {
                                                 std::span<const std::uint8_t> data) const;
 
   ChannelConfig config_;
-  Key send_key_;
-  Key recv_key_;   // same as send key: both directions share a key in this
-                   // model; directional separation comes from the counter id
-  Key mac_key_;
+  Key send_key_;     ///< Both directions share it: the counter is the nonce.
+  HmacSha256 mac_;
   std::uint64_t send_counter_ = 0;
   std::uint64_t highest_received_ = 0;
   std::uint64_t bad_tag_ = 0;

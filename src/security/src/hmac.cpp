@@ -5,8 +5,7 @@
 
 namespace ev::security {
 
-Digest hmac_sha256(std::span<const std::uint8_t> key,
-                   std::span<const std::uint8_t> message) noexcept {
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) noexcept {
   constexpr std::size_t kBlock = 64;
   std::array<std::uint8_t, kBlock> k_block{};
   if (key.size() > kBlock) {
@@ -21,14 +20,26 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
     ipad[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k_block[i] ^ 0x5c);
   }
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(message);
+  inner_.update(ipad);
+  outer_.update(opad);
+}
+
+Digest HmacSha256::finish(Sha256 inner) const noexcept {
   const Digest inner_digest = inner.finish();
-  Sha256 outer;
-  outer.update(opad);
+  Sha256 outer = outer_;
   outer.update(inner_digest);
   return outer.finish();
+}
+
+Digest HmacSha256::mac(std::span<const std::uint8_t> message) const noexcept {
+  Sha256 inner = begin();
+  inner.update(message);
+  return finish(inner);
+}
+
+Digest hmac_sha256(std::span<const std::uint8_t> key,
+                   std::span<const std::uint8_t> message) noexcept {
+  return HmacSha256(key).mac(message);
 }
 
 bool constant_time_equal(std::span<const std::uint8_t> a,

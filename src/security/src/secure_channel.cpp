@@ -1,28 +1,31 @@
 #include "ev/security/secure_channel.h"
 
-#include <cstring>
+#include <array>
 #include <stdexcept>
 
 namespace ev::security {
 
+namespace {
+
+/// Key-derivation context of a channel key: a 3-byte label and the
+/// big-endian channel id.
+std::array<std::uint8_t, 7> context(const char (&label)[4], std::uint32_t channel_id) {
+  return {static_cast<std::uint8_t>(label[0]), static_cast<std::uint8_t>(label[1]),
+          static_cast<std::uint8_t>(label[2]), static_cast<std::uint8_t>(channel_id >> 24),
+          static_cast<std::uint8_t>(channel_id >> 16),
+          static_cast<std::uint8_t>(channel_id >> 8), static_cast<std::uint8_t>(channel_id)};
+}
+
+}  // namespace
+
 SecureChannel::SecureChannel(Key master_key, std::uint32_t channel_id, ChannelConfig config)
-    : config_(config) {
+    : config_(config),
+      send_key_(derive_key(master_key, context("enc", channel_id), 32)),
+      mac_(derive_key(master_key, context("mac", channel_id), 32)) {
   if (config.tag_bytes < 4 || config.tag_bytes > 32)
     throw std::invalid_argument("SecureChannel: tag must be 4..32 bytes");
   if (config.counter_bytes < 2 || config.counter_bytes > 8)
     throw std::invalid_argument("SecureChannel: counter must be 2..8 bytes");
-  std::vector<std::uint8_t> ctx_enc = {'e', 'n', 'c',
-                                       static_cast<std::uint8_t>(channel_id >> 24),
-                                       static_cast<std::uint8_t>(channel_id >> 16),
-                                       static_cast<std::uint8_t>(channel_id >> 8),
-                                       static_cast<std::uint8_t>(channel_id)};
-  std::vector<std::uint8_t> ctx_mac = ctx_enc;
-  ctx_mac[0] = 'm';
-  ctx_mac[1] = 'a';
-  ctx_mac[2] = 'c';
-  send_key_ = derive_key(master_key, ctx_enc, 32);
-  recv_key_ = send_key_;
-  mac_key_ = derive_key(master_key, ctx_mac, 32);
 }
 
 std::optional<std::size_t> SecureChannel::max_plaintext(std::size_t frame_payload) const {
@@ -42,11 +45,12 @@ std::vector<std::uint8_t> SecureChannel::crypt(std::uint64_t counter,
 
 Digest SecureChannel::tag_of(std::uint64_t counter,
                              std::span<const std::uint8_t> ciphertext) const {
-  std::vector<std::uint8_t> mac_input;
-  mac_input.reserve(8 + ciphertext.size());
-  for (int i = 0; i < 8; ++i) mac_input.push_back(static_cast<std::uint8_t>(counter >> (8 * i)));
-  mac_input.insert(mac_input.end(), ciphertext.begin(), ciphertext.end());
-  return hmac_sha256(mac_key_, mac_input);
+  std::array<std::uint8_t, 8> counter_le;
+  for (std::size_t i = 0; i < 8; ++i) counter_le[i] = static_cast<std::uint8_t>(counter >> (8 * i));
+  Sha256 inner = mac_.begin();
+  inner.update(counter_le);
+  inner.update(ciphertext);
+  return mac_.finish(inner);
 }
 
 std::vector<std::uint8_t> SecureChannel::protect(std::span<const std::uint8_t> plaintext) {

@@ -91,14 +91,19 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
 }
 
 Digest Sha256::finish() noexcept {
+  // update() leaves buffered_ < 64, so the 0x80 always fits; when the
+  // 8-byte length no longer does, the zero fill spills into one more block.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-  std::uint8_t len[8];
-  for (int i = 0; i < 8; ++i) len[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
-  update(std::span<const std::uint8_t>(len, 8));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
+  }
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (std::size_t i = 0; i < 8; ++i)
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  process_block(buffer_.data());
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

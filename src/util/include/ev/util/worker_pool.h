@@ -1,9 +1,10 @@
 /// \file worker_pool.h
 /// The one worker pool of evsys: seed campaigns, the bench harness,
-/// synthesis candidates, fleet ticks, the fuzzer and the data-parallel
-/// pedestrian detector all run on it. Threads stay parked on a condition
-/// variable between rounds, so a tick loop that fans out thousands of times
-/// pays no spawn cost; a one-shot fan sizes the pool with
+/// synthesis candidates, the fuzzer and the data-parallel pedestrian
+/// detector all run on it. Threads stay parked on a condition variable
+/// between rounds, so repeated rounds pay no spawn cost — but each round
+/// still pays a wake-up and a barrier, so a fan of a few microseconds of
+/// work (a fleet tick) is faster inline; a one-shot fan sizes the pool with
 /// resolve_jobs(jobs, count). Tasks are handed out through one atomic
 /// cursor, the calling thread participates, jobs=1 never spawns a thread,
 /// and the first task exception is rethrown on the caller after the round

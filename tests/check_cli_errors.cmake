@@ -117,8 +117,6 @@ expect_flag_error(--count fuzz --count +3)
 expect_flag_error(--seed fuzz --seed -5)
 expect_flag_error(--jobs fuzz --jobs 4294967296)
 expect_flag_error(--iters synthesize "${limp}" --iters 1e3)
-expect_flag_error(--jobs fleet "${SOURCE_DIR}/examples/scenarios/depot_fleet.fleet"
-                  --jobs " 3")
 # ... and stay above their lower bounds.
 expect_usage_error("evsys campaign: --seeds expects an integer >= 1, got '0'"
                    campaign "${limp}" --seeds 0)
@@ -132,6 +130,9 @@ message(STATUS "malformed numeric flags exit 2 naming the flag")
 
 # Each verb's flags are closed: the culprit is named, not the usage text.
 expect_usage_error("evsys run: unknown flag '--bogus'" run "${limp}" --bogus)
+# The fleet runs on the calling thread; it has no --jobs to take.
+expect_usage_error("evsys fleet: unknown flag '--jobs'"
+                   fleet "${SOURCE_DIR}/examples/scenarios/depot_fleet.fleet" --jobs 2)
 expect_usage_error("evsys run: --out needs a value" run "${limp}" --out)
 expect_usage_error("evsys campaign: --seeds given twice"
                    campaign "${limp}" --seeds 1 --seeds 2)

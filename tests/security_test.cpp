@@ -3,6 +3,8 @@
 // and the charging-session attack/defence matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -68,6 +70,26 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   EXPECT_EQ(hex_of(h.finish()), hex_of(Sha256::hash(msg)));
 }
 
+// Digests at the padding boundaries: 55 bytes is the longest message whose
+// 0x80 and length fit its last block, 56..63 spill the length into an extra
+// block, 64/119/120 repeat that one block later. Expected values from
+// python3 hashlib over bytes (31 * k + n) mod 256, k < n.
+TEST(Sha256, PaddingBoundaries) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "0c74b286e2c8b409ed0fd89f5a8344aeb274bda5d9bfbe7b8e537cfc6142736d"},
+      {56, "8136496fb4867a08f8c0f1afaf000ef4093ecc2d544f4f808ef9d5945ca4c2fa"},
+      {63, "a7c6fa71b10f6f7bd8ce26f79db5693d265b2cde42e61955077e77c8764bc26f"},
+      {64, "3ea97ec766b8247739939247b4d4cb362cf13c100deb0cc2ba5391f762023852"},
+      {119, "6cf3e40eee6bd154b923dbbe0b421de7934af82282113dd285bb895e4bb3f8f7"},
+      {120, "696e486e83239a511feef5f0b438da322fa51490489668162c6ed9a9c6ad8055"},
+  };
+  for (const auto& [n, expected] : cases) {
+    std::vector<std::uint8_t> msg(n);
+    for (std::size_t k = 0; k < n; ++k) msg[k] = static_cast<std::uint8_t>(31 * k + n);
+    EXPECT_EQ(hex_of(Sha256::hash(msg)), expected) << n << " bytes";
+  }
+}
+
 // ----------------------------------------------------------------- HMAC ----
 
 TEST(Hmac, Rfc4231Case1) {
@@ -89,6 +111,50 @@ TEST(Hmac, LongKeyIsHashedFirst) {
   const auto msg = bytes_of("Test Using Larger Than Block-Size Key - Hash Key First");
   EXPECT_EQ(hex_of(hmac_sha256(key, msg)),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// HMAC written out as RFC 2104 defines it, pads hashed per message: the
+// oracle for the keyed midstates.
+Digest textbook_hmac(std::span<const std::uint8_t> key, std::span<const std::uint8_t> msg) {
+  std::array<std::uint8_t, 64> k{};
+  if (key.size() > k.size()) {
+    const Digest d = Sha256::hash(key);
+    std::copy(d.begin(), d.end(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
+  }
+  std::vector<std::uint8_t> inner_input;
+  for (std::uint8_t b : k) inner_input.push_back(static_cast<std::uint8_t>(b ^ 0x36));
+  inner_input.insert(inner_input.end(), msg.begin(), msg.end());
+  const Digest inner = Sha256::hash(inner_input);
+  std::vector<std::uint8_t> outer_input;
+  for (std::uint8_t b : k) outer_input.push_back(static_cast<std::uint8_t>(b ^ 0x5c));
+  outer_input.insert(outer_input.end(), inner.begin(), inner.end());
+  return Sha256::hash(outer_input);
+}
+
+std::vector<std::uint8_t> random_bytes(ev::util::Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+TEST(Hmac, MidstatesMatchTextbookOverRandomKeysAndMessages) {
+  ev::util::Rng rng(2104);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Key key = random_bytes(rng, rng.next_u64() % 150);  // short, block, long
+    const std::vector<std::uint8_t> msg = random_bytes(rng, rng.next_u64() % 200);
+    const HmacSha256 keyed(key);
+    const Digest expected = textbook_hmac(key, msg);
+    ASSERT_EQ(hmac_sha256(key, msg), expected) << "trial " << trial;
+    ASSERT_EQ(keyed.mac(msg), expected) << "trial " << trial;
+    // The same midstates serve any number of messages, fed in any split.
+    Sha256 inner = keyed.begin();
+    const std::size_t cut = msg.empty() ? 0 : rng.next_u64() % msg.size();
+    inner.update(std::span<const std::uint8_t>(msg.data(), cut));
+    inner.update(std::span<const std::uint8_t>(msg.data() + cut, msg.size() - cut));
+    ASSERT_EQ(keyed.finish(inner), expected) << "trial " << trial;
+  }
 }
 
 TEST(ConstantTime, EqualAndUnequal) {
@@ -232,6 +298,37 @@ TEST(SecureChannel, UnencryptedModeStillAuthenticated) {
   // ...but tampering is still detected.
   wire[5] ^= 1;
   EXPECT_FALSE(receiver.unprotect(wire).has_value());
+}
+
+// The wire tag is HMAC(mac key, counter LE64 || ciphertext), truncated.
+TEST(SecureChannel, TagIsHmacOfCounterAndCiphertext) {
+  ev::util::Rng rng(4231);
+  for (int trial = 0; trial < 50; ++trial) {
+    const Key master = random_bytes(rng, 32);
+    const auto channel_id = static_cast<std::uint32_t>(rng.next_u64());
+    ChannelConfig cfg;
+    cfg.encrypt = false;
+    cfg.tag_bytes = 4 + rng.next_u64() % 29;
+    SecureChannel sender(master, channel_id, cfg);
+    const std::vector<std::uint8_t> mac_context = {
+        'm', 'a', 'c', static_cast<std::uint8_t>(channel_id >> 24),
+        static_cast<std::uint8_t>(channel_id >> 16), static_cast<std::uint8_t>(channel_id >> 8),
+        static_cast<std::uint8_t>(channel_id)};
+    const Key mac_key = derive_key(master, mac_context);
+    for (std::uint64_t counter = 1; counter <= 3; ++counter) {
+      const std::vector<std::uint8_t> msg = random_bytes(rng, rng.next_u64() % 120);
+      const std::vector<std::uint8_t> wire = sender.protect(msg);
+      std::vector<std::uint8_t> mac_input(8);
+      for (std::size_t i = 0; i < 8; ++i)
+        mac_input[i] = static_cast<std::uint8_t>(counter >> (8 * i));
+      mac_input.insert(mac_input.end(), msg.begin(), msg.end());
+      const Digest tag = hmac_sha256(mac_key, mac_input);
+      ASSERT_EQ(wire.size(), cfg.counter_bytes + msg.size() + cfg.tag_bytes);
+      EXPECT_TRUE(std::equal(wire.end() - static_cast<std::ptrdiff_t>(cfg.tag_bytes),
+                             wire.end(), tag.begin()))
+          << "trial " << trial << " counter " << counter;
+    }
+  }
 }
 
 TEST(SecureChannel, ValidatesConfig) {

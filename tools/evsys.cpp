@@ -7,7 +7,7 @@
 //   $ evsys run examples/scenarios/city_commute.scn
 //   $ evsys run limp.scn --out limp.result.json --metrics limp
 //   $ evsys campaign city.scn --seeds 8 --jobs 4       # parallel seed ladder
-//   $ evsys fleet examples/scenarios/depot_fleet.fleet --jobs 8   # fleet run
+//   $ evsys fleet examples/scenarios/depot_fleet.fleet   # fleet run
 //   $ evsys check examples/scenarios/city_commute.scn   # static analysis
 //   $ evsys synthesize overloaded.scn --seed 1          # repair + optimize
 //   $ evsys print examples/scenarios/city_commute.scn   # canonical round-trip
@@ -176,13 +176,11 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_fleet(const Args& args) {
-  int jobs = 1;
-  args.read("--jobs", jobs);
   const std::string metrics_base = args.text("--metrics");
   const ev::config::FleetSpec spec = ev::config::load_fleet_file(args.operands[0]);
   ev::obs::MetricsRegistry metrics;
   const ev::fleet::FleetResult result = ev::fleet::run_fleet(
-      spec, jobs, metrics_base.empty() ? nullptr : &metrics);
+      spec, 1, metrics_base.empty() ? nullptr : &metrics);
 
   std::fprintf(stderr,
                "evsys fleet: %s — %llu station(s), %llu tick(s), mode %s, "
@@ -324,20 +322,17 @@ const Verb kVerbs[] = {
      "and the merged metrics — to stdout (or --out).\n"
      "Output is byte-identical for any --jobs value."},
     {"fleet", "<scenario.fleet>", 1, 1,
-     {{"--jobs", FlagKind::kInt, "<n>"},
-      {"--out", FlagKind::kText, "<file>"},
-      {"--metrics", FlagKind::kText, "<base>"}},
+     {{"--out", FlagKind::kText, "<file>"}, {"--metrics", FlagKind::kText, "<base>"}},
      cmd_fleet,
      "simulate the OCPP-style fleet charging backend the\n"
      ".fleet scenario describes — heartbeat leases,\n"
      "retry/backoff control channel, grid-aware load\n"
-     "balancing under injected grid faults — on --jobs\n"
-     "worker threads (default 1; 0 = one per hardware\n"
-     "thread) and write the deterministic fleet report\n"
-     "JSON to stdout (or --out). --metrics <base> also\n"
-     "exports <base>.metrics.json/.metrics.csv. Output\n"
-     "is byte-identical for any --jobs value. Exit code:\n"
-     "0 when the grid was never overdrawn, 1 otherwise."},
+     "balancing under injected grid faults — and write\n"
+     "the deterministic fleet report JSON to stdout (or\n"
+     "--out). --metrics <base> also exports\n"
+     "<base>.metrics.json/.metrics.csv. Same scenario ⇒\n"
+     "byte-identical report. Exit code: 0 when the grid\n"
+     "was never overdrawn, 1 otherwise."},
     {"check", "<scenario.scn>", 1, 1,
      {{"--prob", FlagKind::kSwitch, ""}, {"--out", FlagKind::kText, "<file>"}},
      cmd_check,
