@@ -118,8 +118,9 @@ struct Fitness {
 /// exactly what re-extracting a spec with the corresponding arch override
 /// would produce, and mark the touched entities dirty; evaluate() then
 /// recomputes only those (full fixed-point semantics preserved by dirtying
-/// the routed-frame downstream closure). Copyable: workers evaluating
-/// parallel candidates copy the evaluator, apply one move, and evaluate.
+/// the routed-frame downstream closure). Copyable: the synthesizer scores a
+/// candidate by copy-assigning the master into a reused trial evaluator,
+/// applying one move, and evaluating.
 class FitnessEvaluator {
  public:
   explicit FitnessEvaluator(VehicleModel model);

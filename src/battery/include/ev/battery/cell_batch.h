@@ -78,7 +78,6 @@ class CellBatch {
   std::vector<double> v_rc2_;
   std::vector<double> temp_c_;
   std::vector<double> throughput_ah_;
-  std::vector<double> dissipated_j_;
   // Cached polarization coefficients for the current step size:
   // a = exp(-dt/tau), k = r * (1 - a).
   std::vector<double> a1_;
@@ -125,8 +124,6 @@ class CellConstView {
   [[nodiscard]] double throughput_ah() const noexcept {
     return batch_->throughput_ah_[index_];
   }
-  /// Total ohmic + polarization energy dissipated in the cell so far [J].
-  [[nodiscard]] double dissipated_j() const noexcept { return batch_->dissipated_j_[index_]; }
   /// Polarization branch voltages [V].
   [[nodiscard]] double v_rc1() const noexcept { return batch_->v_rc1_[index_]; }
   [[nodiscard]] double v_rc2() const noexcept { return batch_->v_rc2_[index_]; }

@@ -93,8 +93,6 @@ class Pack {
 
   /// Last current the pack-level sensor reported [A]; updated by step().
   [[nodiscard]] double sensed_current_a() const noexcept { return sensed_current_a_; }
-  /// The pack current sensor (the BMS reads through this).
-  [[nodiscard]] CurrentSensor& current_sensor() noexcept { return current_sensor_; }
 
  private:
   std::vector<SeriesModule> modules_;

@@ -27,7 +27,6 @@ CellBatch::CellBatch(const std::vector<CellInit>& cells, OcvCurve curve)
   v_rc1_.assign(n, 0.0);
   v_rc2_.assign(n, 0.0);
   throughput_ah_.assign(n, 0.0);
-  dissipated_j_.assign(n, 0.0);
   a1_.resize(n);
   k1_.resize(n);
   a2_.resize(n);
@@ -75,7 +74,6 @@ BatchStatus CellBatch::step_all(std::span<const double> current_a,
     const double p_polar =
         v_rc1_[i] * v_rc1_[i] / p.r1_ohm + v_rc2_[i] * v_rc2_[i] / p.r2_ohm;
     const double p_loss = p_ohmic + p_polar;
-    dissipated_j_[i] += p_loss * dt_s;
     const double p_cooling = (temp_c_[i] - ambient_c) / p.thermal_resistance_k_per_w;
     temp_c_[i] += (p_loss + extra_heat_w[i] - p_cooling) / p.thermal_capacity_j_per_k * dt_s;
 

@@ -99,8 +99,4 @@ struct FleetSpec {
 /// when the file cannot be read or fails to parse.
 [[nodiscard]] FleetSpec load_fleet_file(const std::string& path);
 
-/// Writes spec.to_text() to \p path; returns false when the file cannot be
-/// opened.
-bool save_fleet_file(const FleetSpec& spec, const std::string& path);
-
 }  // namespace ev::config

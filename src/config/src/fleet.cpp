@@ -266,11 +266,4 @@ FleetSpec load_fleet_file(const std::string& path) {
   return FleetSpec::from_text(buf.str());
 }
 
-bool save_fleet_file(const FleetSpec& spec, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << spec.to_text();
-  return static_cast<bool>(out);
-}
-
 }  // namespace ev::config

@@ -71,16 +71,11 @@ class Partition {
   /// The partition stays nominally healthy, so only a missed heartbeat —
   /// not the health flag — can reveal the failure.
   void inject_hang(std::uint32_t windows) noexcept { hang_windows_ = windows; }
-  /// True while an injected crash or hang is pending.
-  [[nodiscard]] bool fault_pending() const noexcept {
-    return crash_pending_ || hang_windows_ > 0;
-  }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::int64_t budget_us() const noexcept { return budget_us_; }
   [[nodiscard]] int criticality() const noexcept { return criticality_; }
   [[nodiscard]] PartitionHealth health() const noexcept { return health_; }
-  [[nodiscard]] std::size_t runnable_count() const noexcept { return runnables_.size(); }
   /// Jobs completed since construction.
   [[nodiscard]] std::uint64_t jobs_completed() const noexcept { return jobs_completed_; }
   /// Jobs that could not run in their window (budget exhausted).

@@ -66,9 +66,6 @@ class FocController {
   /// Resets all integrators (used at fault reconfiguration).
   void reset() noexcept;
 
-  /// Last commanded q-axis current reference [A].
-  [[nodiscard]] double iq_reference() const noexcept { return last_iq_ref_; }
-
  private:
   FocConfig config_;
   PmsmParameters machine_;

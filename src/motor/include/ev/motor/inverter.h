@@ -62,7 +62,6 @@ class Inverter {
 
   /// DC-link voltage [V].
   [[nodiscard]] double vdc() const noexcept { return vdc_; }
-  void set_vdc(double vdc) noexcept { vdc_ = vdc; }
 
  private:
   [[nodiscard]] double leg_voltage(bool cmd_high, bool upper_ok, bool lower_ok, bool tied_mid,

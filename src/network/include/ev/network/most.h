@@ -38,8 +38,6 @@ class MostBus : public Bus {
 
   /// Frame period [s].
   [[nodiscard]] double frame_period_s() const noexcept { return 1.0 / frame_rate_hz_; }
-  /// Bytes of every frame reserved for synchronous streams.
-  [[nodiscard]] std::size_t synchronous_bytes() const noexcept { return sync_bytes_; }
   /// Bytes per frame available to asynchronous traffic.
   [[nodiscard]] std::size_t async_bytes_per_frame() const noexcept;
   /// Whether \p id has a reserved synchronous stream (constant latency path).

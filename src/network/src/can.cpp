@@ -102,9 +102,6 @@ std::vector<CanResponseTime> can_response_times(const std::vector<CanMessageSpec
                                                 double bit_rate_bps,
                                                 double error_overhead_s, int errors) {
   const double tau_bit = 1.0 / bit_rate_bps;
-  auto tx_of = [&](const CanMessageSpec& m) {
-    return static_cast<double>(CanBus::frame_bits(m.payload_bytes)) * tau_bit;
-  };
   // k error recoveries lengthen every level-i busy period by k*O (Broster
   // 2002). With zero errors this term is +0.0, leaving the error-free fixed
   // point bit-identical.
@@ -114,15 +111,20 @@ std::vector<CanResponseTime> can_response_times(const std::vector<CanMessageSpec
   std::sort(sorted.begin(), sorted.end(),
             [](const CanMessageSpec& a, const CanMessageSpec& b) { return a.id < b.id; });
 
+  // Each frame's transmission time, once. Blocking of level i is the longest
+  // lower-priority frame that may have started: block[i + 1], a suffix max.
+  const std::size_t n = sorted.size();
+  std::vector<double> tx(n);
+  for (std::size_t i = 0; i < n; ++i)
+    tx[i] = static_cast<double>(CanBus::frame_bits(sorted[i].payload_bytes)) * tau_bit;
+  std::vector<double> block(n + 1, 0.0);
+  for (std::size_t i = n; i-- > 0;) block[i] = std::max(block[i + 1], tx[i]);
+
   std::vector<CanResponseTime> results;
-  results.reserve(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
+  results.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const CanMessageSpec& mi = sorted[i];
-    const double ci = tx_of(mi);
-    // Blocking: the longest lower-priority frame that may have started.
-    double blocking = 0.0;
-    for (std::size_t j = i + 1; j < sorted.size(); ++j)
-      blocking = std::max(blocking, tx_of(sorted[j]));
+    const double blocking = block[i + 1];
 
     // Fixed point on the queuing delay w.
     double w = blocking + recovery;
@@ -131,7 +133,7 @@ std::vector<CanResponseTime> can_response_times(const std::vector<CanMessageSpec
       double w_next = blocking + recovery;
       for (std::size_t j = 0; j < i; ++j) {
         const CanMessageSpec& mj = sorted[j];
-        w_next += std::ceil((w + mj.jitter_s + tau_bit) / mj.period_s) * tx_of(mj);
+        w_next += std::ceil((w + mj.jitter_s + tau_bit) / mj.period_s) * tx[j];
       }
       if (std::fabs(w_next - w) < 1e-12) {
         w = w_next;
@@ -143,7 +145,7 @@ std::vector<CanResponseTime> can_response_times(const std::vector<CanMessageSpec
     }
     CanResponseTime r;
     r.id = mi.id;
-    r.worst_case_s = mi.jitter_s + w + ci;
+    r.worst_case_s = mi.jitter_s + w + tx[i];
     r.schedulable = converged && r.worst_case_s <= mi.period_s;
     results.push_back(r);
   }

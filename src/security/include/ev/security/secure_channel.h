@@ -57,9 +57,8 @@ class SecureChannel {
   /// when the overhead alone exceeds the frame (the CAN case).
   [[nodiscard]] std::optional<std::size_t> max_plaintext(std::size_t frame_payload) const;
 
-  /// Messages rejected so far, by reason.
+  /// Messages rejected so far for a bad tag.
   [[nodiscard]] std::uint64_t rejected_bad_tag() const noexcept { return bad_tag_; }
-  [[nodiscard]] std::uint64_t rejected_replayed() const noexcept { return replayed_; }
 
  private:
   [[nodiscard]] Digest tag_of(std::uint64_t counter,
@@ -73,7 +72,6 @@ class SecureChannel {
   std::uint64_t send_counter_ = 0;
   std::uint64_t highest_received_ = 0;
   std::uint64_t bad_tag_ = 0;
-  std::uint64_t replayed_ = 0;
 };
 
 }  // namespace ev::security

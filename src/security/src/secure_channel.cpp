@@ -90,10 +90,7 @@ std::optional<std::vector<std::uint8_t>> SecureChannel::unprotect(
     ++bad_tag_;
     return fail(ChannelStatus::kBadTag);
   }
-  if (counter <= highest_received_) {
-    ++replayed_;
-    return fail(ChannelStatus::kReplayed);
-  }
+  if (counter <= highest_received_) return fail(ChannelStatus::kReplayed);
   highest_received_ = counter;
   if (status) *status = ChannelStatus::kOk;
   if (!config_.encrypt) return std::vector<std::uint8_t>(ciphertext.begin(), ciphertext.end());

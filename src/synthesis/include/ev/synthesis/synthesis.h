@@ -6,10 +6,9 @@
 /// buses, CAN identifier (= priority) assignment, FlexRay static-slot
 /// permutation, cockpit partition windows — plus the CAN bit-rate and
 /// load-scale knobs. The search is seeded and fully deterministic: the same
-/// spec, seed, and iteration budget give a byte-identical result for any
-/// worker count, because all random draws happen on the coordinator and
-/// candidates are evaluated into per-index slots (the campaign determinism
-/// pattern). Fitness comes from the incremental analysis::FitnessEvaluator,
+/// spec, seed, and iteration budget give a byte-identical result. It runs
+/// on the calling thread, scoring each round's candidates in index order.
+/// Fitness comes from the incremental analysis::FitnessEvaluator,
 /// so a synthesized design is feasible exactly when `evsys check` exits 0
 /// on it.
 #pragma once
@@ -28,9 +27,10 @@ namespace ev::synthesis {
 
 /// Search knobs.
 struct SynthesisOptions {
-  std::uint64_t seed = 1;     ///< Seed of the coordinator RNG.
+  std::uint64_t seed = 1;     ///< Seed of the search RNG.
   int iters = 200;            ///< Annealing rounds (each evaluates a batch).
-  int jobs = 1;               ///< Worker threads (<= 0: one per hw thread).
+  int jobs = 1;               ///< Ignored: the search runs on one thread;
+                              ///< kept so existing callers still compile.
   bool cross_check = false;   ///< Full-recompute check after every accept.
 };
 
@@ -68,8 +68,8 @@ struct SynthesisResult {
 [[nodiscard]] SynthesisResult synthesize(const config::ScenarioSpec& spec,
                                          const SynthesisOptions& options);
 
-/// Renders the deterministic synthesis report JSON (no timing, no worker
-/// count — byte-identical across reruns and --jobs values).
+/// Renders the deterministic synthesis report JSON (no timing —
+/// byte-identical across same-seed reruns).
 void write_synthesis_json(const SynthesisResult& result, std::ostream& out);
 [[nodiscard]] std::string synthesis_json(const SynthesisResult& result);
 

@@ -13,7 +13,6 @@
 #include "ev/util/json.h"
 #include "ev/util/math.h"
 #include "ev/util/rng.h"
-#include "ev/util/worker_pool.h"
 
 namespace ev::synthesis {
 namespace {
@@ -304,9 +303,9 @@ Design repair(const config::ScenarioSpec& input) {
 
 // ------------------------------------------------------------ phase B -------
 
-/// Draws one candidate move from the coordinator RNG. Draw counts vary by
-/// kind, but the stream position depends only on the (deterministic) design
-/// state, never on worker scheduling.
+/// Draws one candidate move from the search RNG. Draw counts vary by kind,
+/// but the stream position depends only on the (deterministic) design
+/// state.
 Move draw_move(util::Rng& rng, const FitnessEvaluator& eval) {
   Move move;
   const VehicleModel& model = eval.model();
@@ -584,57 +583,56 @@ SynthesisResult synthesize(const config::ScenarioSpec& input,
   pareto_insert(result.pareto, current_fitness, true);
 
   // --- Phase B: seeded annealing over the architecture moves ----------------
-  // All RNG draws happen here on the coordinator; workers only score copies
-  // into per-index slots, so the result is byte-identical for any --jobs.
+  // One thread draws and scores the round's candidates in index order and
+  // folds each right after scoring it. Two evaluators live for the whole
+  // search: each candidate is copy-assigned into `trial` (reusing its
+  // storage), and the round's best so far is swapped into `chosen`. An
+  // accepted move is mirrored into the spec and `chosen` becomes the
+  // master: it already holds the master plus that move, evaluated with the
+  // same dirty set a re-evaluation of the master would use.
   util::Rng rng(options.seed);
-  util::WorkerPool pool(options.jobs);
   constexpr int kCandidatesPerRound = 8;
+  FitnessEvaluator trial = current.eval;
+  FitnessEvaluator chosen = current.eval;
   double temperature = 1000.0;
   for (int round = 0; round < options.iters; ++round) {
-    std::vector<Move> moves(kCandidatesPerRound);
-    for (Move& move : moves) move = draw_move(rng, current.eval);
-
-    struct Slot {
+    Move chosen_move;  // stays kNone when no candidate scored
+    Fitness chosen_fitness;
+    double chosen_energy = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < kCandidatesPerRound; ++i) {
+      const Move move = draw_move(rng, current.eval);
       Fitness fitness;
       std::uint64_t passes = 0;
-      bool valid = false;
-    };
-    std::vector<Slot> slots(moves.size());
-    pool.run(static_cast<int>(moves.size()), [&](int i) {
       try {
-        FitnessEvaluator trial = current.eval;  // copy-evaluate, master untouched
+        trial = current.eval;
         const std::uint64_t before = trial.bus_pass_evals();
-        apply_move(trial, nullptr, moves[static_cast<std::size_t>(i)]);
-        slots[static_cast<std::size_t>(i)].fitness = trial.evaluate();
-        slots[static_cast<std::size_t>(i)].passes = trial.bus_pass_evals() - before;
-        slots[static_cast<std::size_t>(i)].valid = true;
+        apply_move(trial, nullptr, move);
+        fitness = trial.evaluate();
+        passes = trial.bus_pass_evals() - before;
       } catch (...) {
-        slots[static_cast<std::size_t>(i)].valid = false;
+        continue;  // a candidate that throws is skipped, never adopted
       }
-    });
-
-    int chosen = -1;
-    double chosen_energy = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (!slots[i].valid) continue;
       result.moves_evaluated += 1;
-      result.bus_pass_evals += slots[i].passes;
-      pareto_insert(result.pareto, slots[i].fitness, false);
-      const double e = energy(slots[i].fitness);
+      result.bus_pass_evals += passes;
+      pareto_insert(result.pareto, fitness, false);
+      const double e = energy(fitness);
       if (e < chosen_energy) {
         chosen_energy = e;
-        chosen = static_cast<int>(i);
+        chosen_move = move;
+        chosen_fitness = fitness;
+        std::swap(trial, chosen);
       }
     }
 
     // Fixed draw count per round regardless of the branch taken.
     const double accept_draw = rng.uniform();
-    if (chosen >= 0 && moves[static_cast<std::size_t>(chosen)].kind != Move::Kind::kNone) {
+    if (chosen_move.kind != Move::Kind::kNone) {
       const double delta = chosen_energy - current_energy;
       if (delta <= 0.0 || accept_draw < std::exp(-delta / temperature)) {
-        apply_move(current.eval, &current.spec, moves[static_cast<std::size_t>(chosen)]);
-        current_fitness = current.eval.evaluate();
-        current_energy = energy(current_fitness);
+        apply_move(current.eval, &current.spec, chosen_move);  // mirrors the spec
+        std::swap(current.eval, chosen);
+        current_fitness = chosen_fitness;
+        current_energy = chosen_energy;
         ++result.moves_accepted;
         pareto_insert(result.pareto, current_fitness, true);
         if (current_energy < best_energy) {

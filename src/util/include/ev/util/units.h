@@ -25,17 +25,10 @@ namespace ev::util {
 [[nodiscard]] constexpr double wh_to_j(double wh) noexcept { return wh * 3600.0; }
 /// Converts joules to watt-hours.
 [[nodiscard]] constexpr double j_to_wh(double j) noexcept { return j / 3600.0; }
-/// Converts kilowatt-hours to joules.
-[[nodiscard]] constexpr double kwh_to_j(double kwh) noexcept { return kwh * 3.6e6; }
 /// Converts joules to kilowatt-hours.
 [[nodiscard]] constexpr double j_to_kwh(double j) noexcept { return j / 3.6e6; }
 
 /// Converts ampere-hours to coulombs.
 [[nodiscard]] constexpr double ah_to_coulomb(double ah) noexcept { return ah * 3600.0; }
-/// Converts coulombs to ampere-hours.
-[[nodiscard]] constexpr double coulomb_to_ah(double c) noexcept { return c / 3600.0; }
-
-/// Converts megabits per second to bits per second.
-[[nodiscard]] constexpr double mbit_s_to_bit_s(double mbit) noexcept { return mbit * 1e6; }
 
 }  // namespace ev::util

@@ -130,9 +130,12 @@ message(STATUS "malformed numeric flags exit 2 naming the flag")
 
 # Each verb's flags are closed: the culprit is named, not the usage text.
 expect_usage_error("evsys run: unknown flag '--bogus'" run "${limp}" --bogus)
-# The fleet runs on the calling thread; it has no --jobs to take.
+# The fleet and the synthesizer run on the calling thread; neither has a
+# --jobs to take.
 expect_usage_error("evsys fleet: unknown flag '--jobs'"
                    fleet "${SOURCE_DIR}/examples/scenarios/depot_fleet.fleet" --jobs 2)
+expect_usage_error("evsys synthesize: unknown flag '--jobs'"
+                   synthesize "${limp}" --jobs 2)
 expect_usage_error("evsys run: --out needs a value" run "${limp}" --out)
 expect_usage_error("evsys campaign: --seeds given twice"
                    campaign "${limp}" --seeds 1 --seeds 2)

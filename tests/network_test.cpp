@@ -1,5 +1,5 @@
 // Unit tests for the in-vehicle network models: CAN (+ response-time
-// analysis), LIN, FlexRay, the CAN/FlexRay arbitration order against
+// analysis, bit-exact against a test-local oracle), LIN, FlexRay, the CAN/FlexRay arbitration order against
 // test-local oracles, MOST, switched Ethernet (strict priority, CBS,
 // time-aware gates), PTP synchronization, the gateway, and the Fig. 1
 // topology builder.
@@ -306,6 +306,105 @@ TEST(CanAnalysis, FaultAwareLadderMonotoneInErrors) {
     }
     prev = next;
   }
+}
+
+// The response-time analysis as it was written before each frame's
+// transmission time was hoisted out of the loops: C_j recomputed at every
+// use and the blocking term rescanned per level. Kept as the oracle the
+// hoisted version must match bit for bit.
+std::vector<CanResponseTime> oracle_can_response_times(
+    const std::vector<CanMessageSpec>& messages, double bit_rate_bps,
+    double error_overhead_s, int errors) {
+  const double tau_bit = 1.0 / bit_rate_bps;
+  auto tx_of = [&](const CanMessageSpec& m) {
+    return static_cast<double>(CanBus::frame_bits(m.payload_bytes)) * tau_bit;
+  };
+  const double recovery = error_overhead_s * static_cast<double>(errors);
+
+  std::vector<CanMessageSpec> sorted = messages;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const CanMessageSpec& a, const CanMessageSpec& b) { return a.id < b.id; });
+
+  std::vector<CanResponseTime> results;
+  results.reserve(sorted.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    const CanMessageSpec& mi = sorted[i];
+    const double ci = tx_of(mi);
+    double blocking = 0.0;
+    for (std::size_t j = i + 1; j < sorted.size(); ++j)
+      blocking = std::max(blocking, tx_of(sorted[j]));
+
+    double w = blocking + recovery;
+    bool converged = false;
+    for (int iter = 0; iter < 10000; ++iter) {
+      double w_next = blocking + recovery;
+      for (std::size_t j = 0; j < i; ++j) {
+        const CanMessageSpec& mj = sorted[j];
+        w_next += std::ceil((w + mj.jitter_s + tau_bit) / mj.period_s) * tx_of(mj);
+      }
+      if (std::fabs(w_next - w) < 1e-12) {
+        w = w_next;
+        converged = true;
+        break;
+      }
+      w = w_next;
+      if (w > 10.0 * mi.period_s) break;
+    }
+    CanResponseTime r;
+    r.id = mi.id;
+    r.worst_case_s = mi.jitter_s + w + ci;
+    r.schedulable = converged && r.worst_case_s <= mi.period_s;
+    results.push_back(r);
+  }
+  return results;
+}
+
+void expect_same_bounds(const std::vector<CanResponseTime>& got,
+                        const std::vector<CanResponseTime>& want, std::uint64_t seed) {
+  ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "seed " << seed << " level " << i;
+    EXPECT_EQ(got[i].worst_case_s, want[i].worst_case_s) << "seed " << seed << " level " << i;
+    EXPECT_EQ(got[i].schedulable, want[i].schedulable) << "seed " << seed << " level " << i;
+  }
+}
+
+TEST(CanAnalysis, MatchesPerUseTransmissionTimeOracle) {
+  static constexpr double kRates[] = {125e3, 250e3, 500e3, 800e3, 1e6};
+  static constexpr double kPeriods[] = {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1};
+  std::size_t schedulable = 0;
+  std::size_t unschedulable = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    ev::util::Rng rng(seed);
+    const double rate = kRates[rng.uniform_int(0, 4)];
+    // Every fourth set gives all messages one period, so equal periods and
+    // equal interference terms are covered; the rest draw from a small pool.
+    const bool one_period = seed % 4 == 0;
+    const double shared_period = kPeriods[rng.uniform_int(0, 6)];
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    std::vector<CanMessageSpec> set;
+    std::size_t max_bits = 0;
+    for (std::size_t m = 0; m < n; ++m) {
+      CanMessageSpec spec;
+      spec.id = static_cast<std::uint32_t>(rng.uniform_int(0, 0x7ff));
+      spec.payload_bytes = static_cast<std::size_t>(rng.uniform_int(0, 8));
+      spec.period_s = one_period ? shared_period : kPeriods[rng.uniform_int(0, 6)];
+      spec.jitter_s = rng.uniform(0.0, 0.2) * spec.period_s;
+      max_bits = std::max(max_bits, CanBus::frame_bits(spec.payload_bytes));
+      set.push_back(spec);
+    }
+    const auto clean = can_response_times(set, rate);
+    expect_same_bounds(clean, oracle_can_response_times(set, rate, 0.0, 0), seed);
+    // Error flag plus one retransmission of the longest frame, k <= 10.
+    const double overhead_s = static_cast<double>(31 + max_bits) / rate;
+    const int k = static_cast<int>(rng.uniform_int(0, 10));
+    expect_same_bounds(can_response_times(set, rate, overhead_s, k),
+                       oracle_can_response_times(set, rate, overhead_s, k), seed);
+    for (const CanResponseTime& r : clean) (r.schedulable ? schedulable : unschedulable) += 1;
+  }
+  // Both branches of the fixed point must have been exercised.
+  EXPECT_GT(schedulable, 1000u);
+  EXPECT_GT(unschedulable, 1000u);
 }
 
 // ------------------------------------------------------------------ LIN ----

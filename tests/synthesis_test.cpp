@@ -1,14 +1,16 @@
 // Unit tests for the design-space synthesizer: the repair path must turn the
 // overloaded fixture into a scenario `evsys check` accepts, the seeded search
-// must be byte-deterministic for any seed/jobs combination, the emitted spec
+// must be byte-deterministic and match its recorded golden, the emitted spec
 // must re-extract to exactly the fitness the search reported (the mirror
 // contract), and the exposed building blocks (Audsley ids, rate-monotonic
 // slots, FFD windows, Pareto dominance) must behave on their own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,14 @@ ev::config::ScenarioSpec clean_spec() {
   spec.subsystems.health = true;
   spec.subsystems.security = true;
   return spec;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "cannot read " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 SynthesisOptions quick_options(std::uint64_t seed = 1, int iters = 10) {
@@ -94,14 +104,24 @@ TEST(Synthesize, SameSeedGivesByteIdenticalResult) {
   EXPECT_EQ(synthesis_json(a), synthesis_json(b));
 }
 
+// tests/data/golden/golden_overloaded.synth.{scn,json} were recorded from
+// `evsys synthesize tests/data/overloaded.scn --seed 7 --iters 200` when
+// the search still scored candidates on a worker pool. The report pins
+// bus_pass_evals, so adopting the winning trial evaluator instead of
+// re-evaluating the master must spend exactly the same passes. `jobs` is
+// ignored; any value must give the golden.
 TEST(Synthesize, WorkerCountDoesNotChangeTheResult) {
-  SynthesisOptions serial = quick_options(5, 12);
-  SynthesisOptions wide = serial;
-  wide.jobs = 8;
-  const SynthesisResult a = synthesize(overloaded_spec(), serial);
-  const SynthesisResult b = synthesize(overloaded_spec(), wide);
-  EXPECT_EQ(a.spec.to_text(), b.spec.to_text());
-  EXPECT_EQ(synthesis_json(a), synthesis_json(b));
+  const std::string root = EVSYS_SOURCE_DIR;
+  const ev::config::ScenarioSpec spec =
+      ev::config::load_scenario_file(root + "/tests/data/overloaded.scn");
+  const std::string golden = root + "/tests/data/golden/golden_overloaded.synth";
+  for (const int jobs : {1, 8}) {
+    SynthesisOptions options = quick_options(7, 200);
+    options.jobs = jobs;
+    const SynthesisResult result = synthesize(spec, options);
+    EXPECT_EQ(result.spec.to_text(), read_file(golden + ".scn")) << "jobs " << jobs;
+    EXPECT_EQ(synthesis_json(result), read_file(golden + ".json")) << "jobs " << jobs;
+  }
 }
 
 TEST(Synthesize, CrossCheckModeAgreesWithIncrementalSearch) {

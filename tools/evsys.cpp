@@ -219,7 +219,6 @@ int cmd_synthesize(const Args& args) {
   ev::synthesis::SynthesisOptions options;
   args.read("--seed", options.seed);
   args.read("--iters", options.iters);
-  args.read("--jobs", options.jobs);
   options.cross_check = args.on("--cross-check");
   const ev::config::ScenarioSpec spec = ev::config::load_scenario_file(args.operands[0]);
   const ev::synthesis::SynthesisResult result = ev::synthesis::synthesize(spec, options);
@@ -368,7 +367,6 @@ const Verb kVerbs[] = {
     {"synthesize", "<scenario.scn>", 1, 1,
      {{"--seed", FlagKind::kU64, "<n>"},
       {"--iters", FlagKind::kInt, "<n>", 0},
-      {"--jobs", FlagKind::kInt, "<n>"},
       {"--out", FlagKind::kText, "<file>"},
       {"--report", FlagKind::kText, "<file>"},
       {"--cross-check", FlagKind::kSwitch, ""}},
@@ -381,8 +379,8 @@ const Verb kVerbs[] = {
      "scenario text goes to stdout (or --out <file>),\n"
      "the deterministic search report JSON to --report\n"
      "<file>, a summary to stderr. Same seed ⇒\n"
-     "byte-identical output for any --jobs value. Exit\n"
-     "code: 0 when the result is feasible, 1 otherwise."},
+     "byte-identical output. Exit code: 0 when the\n"
+     "result is feasible, 1 otherwise."},
     {"print", "<scenario.scn>", 1, 1, {}, cmd_print,
      "parse + validate a scenario and print its canonical\n"
      "text form (a lossless round-trip)."},
