@@ -42,10 +42,6 @@ struct CellStatus {
   bool overtemperature = false;
   bool overcurrent = false;
   bool thermal_runaway = false;
-  /// True when any flag is raised.
-  [[nodiscard]] bool any() const noexcept {
-    return overvoltage || undervoltage || overtemperature || overcurrent || thermal_runaway;
-  }
 };
 
 }  // namespace ev::battery

@@ -42,15 +42,12 @@ class SeriesModule {
   /// storage.
   SeriesModule(const std::vector<CellInit>& cells, OcvCurve curve, BalancingHardware hw = {});
 
-  /// Engages (true) or releases (false) the passive bleed switch on cell \p i.
-  void set_bleed(std::size_t i, bool on);
   /// True when the bleed switch of cell \p i is closed.
   [[nodiscard]] bool bleed_engaged(std::size_t i) const;
   /// Releases every bleed switch.
   void clear_bleed() noexcept;
   /// Bleed switch states, one per cell (nonzero = closed), for whole-module
-  /// sweeps; indexes into the span are not checked, unlike set_bleed() and
-  /// bleed_engaged().
+  /// sweeps; indexes into the span are not checked, unlike bleed_engaged().
   [[nodiscard]] std::span<std::uint8_t> bleed_flags() noexcept { return bleed_on_; }
   [[nodiscard]] std::span<const std::uint8_t> bleed_flags() const noexcept { return bleed_on_; }
 

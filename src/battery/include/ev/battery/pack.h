@@ -64,7 +64,6 @@ class Pack {
 
   /// Main contactor control (the "power switch" of Fig. 2).
   void open_contactor() noexcept { contactor_closed_ = false; }
-  void close_contactor() noexcept { contactor_closed_ = true; }
   [[nodiscard]] bool contactor_closed() const noexcept { return contactor_closed_; }
 
   /// Number of modules.

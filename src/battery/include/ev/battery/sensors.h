@@ -46,13 +46,11 @@ class ScalarSensor {
   /// (the front-end no longer sees the cell at all).
   [[nodiscard]] double measure(double true_value, util::Rng& rng);
 
-  /// Arms \p fault; it stays in force until clear_fault().
+  /// Arms \p fault; it stays in force for the rest of the run.
   void inject_fault(const SensorFault& fault) noexcept {
     fault_ = fault;
     drift_accum_ = 0.0;
   }
-  /// Returns the sensor to healthy operation.
-  void clear_fault() noexcept { fault_ = SensorFault{}; }
   /// True while a fault is armed.
   [[nodiscard]] bool faulted() const noexcept {
     return fault_.mode != SensorFaultMode::kNone;

@@ -18,8 +18,6 @@ void SeriesModule::check_index(std::size_t i) const {
   if (i >= batch_.size()) throw std::out_of_range("SeriesModule: cell index out of range");
 }
 
-void SeriesModule::set_bleed(std::size_t i, bool on) { bleed_on_.at(i) = on ? 1 : 0; }
-
 bool SeriesModule::bleed_engaged(std::size_t i) const { return bleed_on_.at(i) != 0; }
 
 void SeriesModule::clear_bleed() noexcept { std::fill(bleed_on_.begin(), bleed_on_.end(), 0); }

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ev::bms {
@@ -21,9 +20,6 @@ enum class FaultKind {
   kOvercurrent,
   kThermalRunaway,
 };
-
-/// Name of a fault kind for reports.
-[[nodiscard]] std::string to_string(FaultKind kind);
 
 /// Reaction the monitor requests from the vehicle.
 enum class SafetyAction {
@@ -55,8 +51,9 @@ struct FaultRecord {
 };
 
 /// Debounced envelope monitor over measured cell voltages, temperatures, and
-/// pack current. Latching: once kOpenContactor is reached it stays until
-/// reset() (mirrors real BMS behaviour where a tripped pack needs service).
+/// pack current. Latching: once kOpenContactor is reached it stays for the
+/// rest of the drive (mirrors real BMS behaviour where a tripped pack needs
+/// service).
 class SafetyMonitor {
  public:
   explicit SafetyMonitor(SafetyLimits limits = {});
@@ -73,8 +70,6 @@ class SafetyMonitor {
   [[nodiscard]] const std::vector<FaultRecord>& faults() const noexcept { return faults_; }
   /// True once the monitor has requested contactor opening.
   [[nodiscard]] bool tripped() const noexcept { return tripped_; }
-  /// Clears latched state (service reset).
-  void reset() noexcept;
   /// Active limits.
   [[nodiscard]] const SafetyLimits& limits() const noexcept { return limits_; }
 

@@ -1,8 +1,8 @@
 /// \file soc_estimator.h
-/// State-of-charge estimation from sensor data. Two estimators are provided:
-/// plain coulomb counting (drifts with current-sensor bias) and a
-/// voltage-corrected observer that feeds the terminal-voltage residual back
-/// through the OCV slope — the standard industrial remedy for drift.
+/// State-of-charge estimation from sensor data: the plain coulomb-counting
+/// update law (drifts with current-sensor bias) and a voltage-corrected
+/// observer that feeds the terminal-voltage residual back through the OCV
+/// slope — the standard industrial remedy for drift.
 #pragma once
 
 #include <memory>
@@ -36,45 +36,10 @@ namespace ev::bms {
   return util::clamp(soc, 0.0, 1.0);
 }
 
-/// Interface of a per-cell SoC estimator. update() is called once per BMS
-/// period with that period's sensed current and voltage.
-class SocEstimator {
- public:
-  virtual ~SocEstimator() = default;
-
-  /// Advances the estimate by \p dt_s given the sensed cell current
-  /// \p current_a (positive = discharge) and sensed terminal voltage
-  /// \p voltage_v.
-  virtual void update(double current_a, double voltage_v, double dt_s) = 0;
-
-  /// Current estimate in [0, 1].
-  [[nodiscard]] virtual double soc() const noexcept = 0;
-
-  /// Resets the estimate to \p soc (e.g. after a rest-period OCV relaxation).
-  virtual void reset(double soc) noexcept = 0;
-};
-
-/// Pure coulomb counting: soc -= I*dt / Q. Exact with a perfect sensor,
-/// drifts linearly in time under sensor bias.
-class CoulombCountingEstimator final : public SocEstimator {
- public:
-  /// \p capacity_ah is the believed cell capacity; \p initial_soc the start
-  /// estimate.
-  CoulombCountingEstimator(double capacity_ah, double initial_soc);
-
-  void update(double current_a, double voltage_v, double dt_s) override;
-  [[nodiscard]] double soc() const noexcept override { return soc_; }
-  void reset(double soc) noexcept override;
-
- private:
-  double capacity_ah_;
-  double soc_;
-};
-
 /// Coulomb counting with proportional output-injection from the voltage
 /// residual (a one-state Luenberger observer linearized through the OCV
 /// slope). Gain trades noise sensitivity against bias-drift correction.
-class VoltageCorrectedEstimator final : public SocEstimator {
+class VoltageCorrectedEstimator {
  public:
   /// \p curve must outlive the estimator. \p r0_ohm is the believed series
   /// resistance used to back out OCV from the loaded terminal voltage.
@@ -83,9 +48,12 @@ class VoltageCorrectedEstimator final : public SocEstimator {
                             std::shared_ptr<const battery::OcvCurve> curve,
                             double r0_ohm, double gain = 0.02);
 
-  void update(double current_a, double voltage_v, double dt_s) override;
-  [[nodiscard]] double soc() const noexcept override { return soc_; }
-  void reset(double soc) noexcept override;
+  /// Advances the estimate by \p dt_s given the sensed cell current
+  /// \p current_a (positive = discharge) and sensed terminal voltage
+  /// \p voltage_v.
+  void update(double current_a, double voltage_v, double dt_s);
+  /// Current estimate in [0, 1].
+  [[nodiscard]] double soc() const noexcept { return soc_; }
 
  private:
   double capacity_ah_;

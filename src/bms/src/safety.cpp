@@ -4,18 +4,6 @@
 
 namespace ev::bms {
 
-std::string to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kOvervoltage: return "overvoltage";
-    case FaultKind::kUndervoltage: return "undervoltage";
-    case FaultKind::kOvertemperature: return "overtemperature";
-    case FaultKind::kOvercurrent: return "overcurrent";
-    case FaultKind::kThermalRunaway: return "thermal-runaway";
-  }
-  return "?";
-}
-
 SafetyMonitor::SafetyMonitor(SafetyLimits limits) : limits_(limits) {}
 
 void SafetyMonitor::latch(FaultKind kind, std::size_t cell, double value) {
@@ -71,13 +59,6 @@ SafetyAction SafetyMonitor::evaluate(std::span<const double> voltages,
   if (tripped_) return SafetyAction::kOpenContactor;
   if (warn_) return SafetyAction::kDerate;
   return SafetyAction::kNone;
-}
-
-void SafetyMonitor::reset() noexcept {
-  counters_.clear();
-  faults_.clear();
-  tripped_ = false;
-  warn_ = false;
 }
 
 }  // namespace ev::bms

@@ -6,20 +6,6 @@
 
 namespace ev::bms {
 
-CoulombCountingEstimator::CoulombCountingEstimator(double capacity_ah, double initial_soc)
-    : capacity_ah_(capacity_ah), soc_(util::clamp(initial_soc, 0.0, 1.0)) {
-  if (capacity_ah <= 0.0)
-    throw std::invalid_argument("CoulombCountingEstimator: capacity must be positive");
-}
-
-void CoulombCountingEstimator::update(double current_a, double /*voltage_v*/, double dt_s) {
-  soc_ = coulomb_counting_update(soc_, current_a, dt_s, capacity_ah_);
-}
-
-void CoulombCountingEstimator::reset(double soc) noexcept {
-  soc_ = util::clamp(soc, 0.0, 1.0);
-}
-
 VoltageCorrectedEstimator::VoltageCorrectedEstimator(
     double capacity_ah, double initial_soc,
     std::shared_ptr<const battery::OcvCurve> curve, double r0_ohm, double gain)
@@ -36,10 +22,6 @@ VoltageCorrectedEstimator::VoltageCorrectedEstimator(
 void VoltageCorrectedEstimator::update(double current_a, double voltage_v, double dt_s) {
   soc_ = voltage_corrected_update(soc_, current_a, voltage_v, dt_s, capacity_ah_, *curve_,
                                   r0_ohm_, gain_);
-}
-
-void VoltageCorrectedEstimator::reset(double soc) noexcept {
-  soc_ = util::clamp(soc, 0.0, 1.0);
 }
 
 }  // namespace ev::bms

@@ -63,11 +63,6 @@ class RedundantChannelSet {
   /// Injects a permanent random (hardware) fault into replica \p index.
   void inject_random_fault(std::size_t index);
 
-  /// Clears all injected faults.
-  void repair();
-
-  /// Channels in the set.
-  [[nodiscard]] std::size_t channel_count() const noexcept { return channels_.size(); }
   /// Distinct implementations (diversity degree).
   [[nodiscard]] std::size_t implementation_count() const;
   /// Cycles executed so far.

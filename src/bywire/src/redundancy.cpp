@@ -40,11 +40,6 @@ void RedundantChannelSet::inject_random_fault(std::size_t index) {
   faulted_[index] = true;
 }
 
-void RedundantChannelSet::repair() {
-  std::fill(faulted_.begin(), faulted_.end(), false);
-  std::fill(impl_faulted_.begin(), impl_faulted_.end(), false);
-}
-
 VoteResult RedundantChannelSet::actuate(double demand, util::Rng& rng) {
   ++cycles_;
   // Spontaneous fault arrivals this cycle.

@@ -21,9 +21,8 @@
 
 namespace ev::faults {
 
-/// Drive capability modes, ordered by severity. Transitions only escalate;
-/// recovery requires an explicit service_reset() (mirrors the latched trip
-/// of the BMS SafetyMonitor).
+/// Drive capability modes, ordered by severity. Transitions only escalate
+/// (mirrors the latched trip of the BMS SafetyMonitor).
 enum class DriveMode : std::uint8_t {
   kNormal = 0,
   kDerated = 1,   ///< Reduced torque/speed; the trip can continue.
@@ -81,9 +80,6 @@ class DegradationManager {
   [[nodiscard]] double torque_limit_fraction() const noexcept;
   /// Allowed speed [m/s]; unlimited (infinity) in kNormal.
   [[nodiscard]] double speed_limit_mps() const noexcept;
-
-  /// Clears the latched mode and all escalation counters (service reset).
-  void service_reset() noexcept;
 
   /// Marks "a fault was just injected": the next escalation records
   /// now - mark as end-to-end detection latency. Called by FaultPlan.

@@ -54,9 +54,6 @@ class GridFaultTimeline {
   /// feeder mapping, this timeline does not).
   [[nodiscard]] bool station_blacked_out(std::size_t station, double t) const noexcept;
 
-  /// Events active at \p t (any kind).
-  [[nodiscard]] std::size_t active_count(double t) const noexcept;
-
   /// True when capacity_scale or any partition/blackout membership can
   /// differ between \p a and \p b — i.e. some event starts or ends inside
   /// (a, b]. The central system uses this to trigger an off-cycle rebalance

@@ -80,14 +80,6 @@ double DegradationManager::speed_limit_mps() const noexcept {
   return 0.0;
 }
 
-void DegradationManager::service_reset() noexcept {
-  mode_ = DriveMode::kNormal;
-  restarts_ = 0;
-  bus_faults_ = 0;
-  injected_at_.reset();
-  if (metrics_) metrics_->set(mode_metric_, 0.0);
-}
-
 void DegradationManager::escalate(DriveMode target, const std::string& cause) {
   if (target <= mode_) return;  // escalate-only latch
   const DriveMode from = mode_;

@@ -31,13 +31,6 @@ bool GridFaultTimeline::station_blacked_out(std::size_t station, double t) const
   return false;
 }
 
-std::size_t GridFaultTimeline::active_count(double t) const noexcept {
-  std::size_t n = 0;
-  for (const GridFaultEvent& e : events_)
-    if (e.active_at(t)) ++n;
-  return n;
-}
-
 bool GridFaultTimeline::changed_between(double a, double b) const noexcept {
   for (const GridFaultEvent& e : events_) {
     if (e.at_s > a && e.at_s <= b) return true;

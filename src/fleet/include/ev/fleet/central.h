@@ -100,8 +100,6 @@ class CentralSystem {
   [[nodiscard]] double committed_a(double now_s) const noexcept;
   /// Central-side grant/reservation view of one station (test hook) [A].
   [[nodiscard]] double station_reserve_a(std::uint32_t station, double now_s) const;
-  /// Capacity the balancer solved against at the latest rebalance [kW].
-  [[nodiscard]] double last_capacity_kw() const noexcept { return last_capacity_kw_; }
 
  private:
   struct Account {

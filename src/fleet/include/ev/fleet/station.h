@@ -105,10 +105,6 @@ class ChargePoint {
   [[nodiscard]] std::uint32_t index() const noexcept { return index_; }
   [[nodiscard]] const StationStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const RetryQueue& retry_queue() const noexcept { return retry_; }
-  /// Open-session ordinal (0 = none) and its demand/progress (test hooks).
-  [[nodiscard]] std::uint32_t session() const noexcept { return session_; }
-  [[nodiscard]] double session_need_kwh() const noexcept { return need_kwh_; }
-  [[nodiscard]] double session_delivered_kwh() const noexcept { return session_kwh_; }
   /// Journaled (dead-lettered, not yet redelivered) accounting messages.
   [[nodiscard]] std::size_t journal_size() const noexcept { return journal_.size(); }
 

@@ -45,8 +45,7 @@ struct Sample {
 /// A delivered sample: a borrowed view of the payload bytes plus the
 /// publication timestamp [us]. The view is valid only for the duration of
 /// the subscriber callback (it points into the broker's flush buffer);
-/// subscribers that need the bytes later must copy them (see Sample or
-/// SubscriberQueue).
+/// subscribers that need the bytes later must copy them (see Sample).
 struct SampleView {
   std::span<const std::uint8_t> data;
   std::int64_t published_us = 0;
@@ -117,56 +116,6 @@ class PubSubBroker {
   obs::MetricId backlog_peak_metric_ = obs::kInvalidId;
 };
 
-/// Pull-model subscriber endpoint: copies each delivered sample of one topic
-/// into a flat byte ring at delivery time, and drains the backlog later as
-/// views — one payload copy at enqueue, zero at drain. Useful for partition
-/// tasks that want to consume a window's worth of samples in their own time
-/// slot instead of reacting inside the flush.
-class SubscriberQueue {
- public:
-  /// Subscribes the queue to \p topic on \p broker (which must outlive it;
-  /// broker subscriptions are persistent, so the queue must not move).
-  SubscriberQueue(PubSubBroker& broker, TopicId topic);
-  SubscriberQueue(const SubscriberQueue&) = delete;
-  SubscriberQueue& operator=(const SubscriberQueue&) = delete;
-
-  /// Queued (undrained) sample count.
-  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return records_.empty(); }
-  /// Samples enqueued since construction.
-  [[nodiscard]] std::uint64_t total_enqueued() const noexcept { return total_enqueued_; }
-
-  /// Invokes `fn(const SampleView&)` for every queued sample in delivery
-  /// order, then clears the queue (retaining capacity). The views are valid
-  /// only during the callback.
-  template <typename F>
-  void drain(F&& fn) {
-    for (const Record& r : records_)
-      fn(SampleView{std::span<const std::uint8_t>(bytes_.data() + r.offset, r.length),
-                    r.published_us});
-    records_.clear();
-    bytes_.clear();
-  }
-
-  /// Drops the backlog without delivering it.
-  void clear() noexcept {
-    records_.clear();
-    bytes_.clear();
-  }
-
- private:
-  struct Record {
-    std::uint32_t offset;
-    std::uint32_t length;
-    std::int64_t published_us;
-  };
-  void enqueue(const SampleView& view);
-
-  std::vector<Record> records_;
-  std::vector<std::uint8_t> bytes_;
-  std::uint64_t total_enqueued_ = 0;
-};
-
 /// Typed view of one broker topic. T must be trivially copyable (POD-style:
 /// the bytes on the wire *are* the object representation), which keeps the
 /// plane deterministic and allocation-predictable — no serialization code,
@@ -206,13 +155,6 @@ class Topic {
     });
   }
 
-  /// The wire form of \p value.
-  [[nodiscard]] static std::vector<std::uint8_t> encode(const T& value) {
-    std::vector<std::uint8_t> bytes(sizeof(T));
-    std::memcpy(bytes.data(), &value, sizeof(T));
-    return bytes;
-  }
-
   /// Reconstructs a value; throws std::invalid_argument on a size mismatch
   /// (subscribing the wrong type to a topic).
   [[nodiscard]] static T decode(const SampleView& sample) {
@@ -222,13 +164,6 @@ class Topic {
     std::memcpy(&value, sample.data.data(), sizeof(T));
     return value;
   }
-  /// Owning-sample twin of the view overload.
-  [[nodiscard]] static T decode(const Sample& sample) {
-    return decode(SampleView{
-        std::span<const std::uint8_t>(sample.data.data(), sample.data.size()),
-        sample.published_us});
-  }
-
   [[nodiscard]] TopicId id() const noexcept { return id_; }
   [[nodiscard]] PubSubBroker& broker() noexcept { return *broker_; }
 

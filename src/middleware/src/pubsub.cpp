@@ -67,18 +67,4 @@ void PubSubBroker::attach_observer(obs::MetricsRegistry& registry,
   backlog_peak_metric_ = registry.gauge(base + "backlog.peak");
 }
 
-SubscriberQueue::SubscriberQueue(PubSubBroker& broker, TopicId topic) {
-  broker.subscribe(topic, [this](const SampleView& view) { enqueue(view); });
-}
-
-void SubscriberQueue::enqueue(const SampleView& view) {
-  if (bytes_.size() + view.data.size() > std::numeric_limits<std::uint32_t>::max())
-    throw std::length_error("SubscriberQueue: byte ring exceeds 4 GiB");
-  const auto offset = static_cast<std::uint32_t>(bytes_.size());
-  bytes_.insert(bytes_.end(), view.data.begin(), view.data.end());
-  records_.push_back(Record{offset, static_cast<std::uint32_t>(view.data.size()),
-                            view.published_us});
-  ++total_enqueued_;
-}
-
 }  // namespace ev::middleware

@@ -67,10 +67,6 @@ class MotorDrive {
   [[nodiscard]] const std::vector<double>& recorded_current_a() const noexcept {
     return record_ia_;
   }
-  /// Line-to-line voltage v_ab samples recorded each sub-step.
-  [[nodiscard]] const std::vector<double>& recorded_vab() const noexcept {
-    return record_vab_;
-  }
   /// Torque samples recorded once per PWM period.
   [[nodiscard]] const std::vector<double>& recorded_torque() const noexcept {
     return record_torque_;
@@ -100,7 +96,6 @@ class MotorDrive {
   std::optional<double> detection_latency_s_;
   bool recording_ = false;
   std::vector<double> record_ia_;
-  std::vector<double> record_vab_;
   std::vector<double> record_torque_;
 };
 

@@ -22,7 +22,6 @@ void MotorDrive::inject_open_fault(Igbt sw) {
 
 void MotorDrive::clear_recording() noexcept {
   record_ia_.clear();
-  record_vab_.clear();
   record_torque_.clear();
 }
 
@@ -53,11 +52,7 @@ void MotorDrive::run_period(const AlphaBeta& v_ref, double load_torque_nm) {
     const LegStates states = Inverter::compare_carrier(duties, carrier);
     const Abc v = inverter_.phase_voltages(states, i);
     pmsm_.step(v, load_torque_nm, dt_sub);
-    if (recording_) {
-      record_ia_.push_back(i.a);
-      const Abc legs = inverter_.leg_voltages(states, i);
-      record_vab_.push_back(legs.a - legs.b);
-    }
+    if (recording_) record_ia_.push_back(i.a);
   }
   if (recording_) record_torque_.push_back(pmsm_.torque_nm());
   time_s_ += period_s();

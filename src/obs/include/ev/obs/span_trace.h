@@ -27,7 +27,8 @@ struct SpanAttr {
   double value = 0.0;
 };
 
-/// A recorded interval. end_ns < begin_ns marks a span still open.
+/// A recorded interval. end_ns < begin_ns marks an open span, which
+/// exporters skip.
 struct Span {
   MetricId name = kInvalidId;      ///< Interned span label.
   MetricId category = kInvalidId;  ///< Interned category (trace viewer lane).
@@ -46,19 +47,14 @@ class TraceLog {
   /// Interns \p s for use as a span name, category, or attribute key.
   MetricId intern(std::string_view s) { return names_.intern(s); }
 
-  /// Opens a span at \p begin_ns. Returns kInvalidId (and counts a drop)
-  /// when the sink is full; the other members tolerate that id.
-  SpanId begin(MetricId name, MetricId category, std::int64_t begin_ns);
-
-  /// Attaches key/value to an open span; ignored beyond 4 attributes.
-  void attr(SpanId id, MetricId key, double value) noexcept;
-
-  /// Closes span \p id at \p end_ns (>= its begin).
-  void end(SpanId id, std::int64_t end_ns) noexcept;
-
-  /// Records an already-completed interval in one call.
+  /// Records the interval [\p begin_ns, \p end_ns]. Returns kInvalidId (and
+  /// counts a drop) when the sink is full; the other members tolerate that
+  /// id. An \p end_ns before \p begin_ns leaves the span open.
   SpanId complete(MetricId name, MetricId category, std::int64_t begin_ns,
                   std::int64_t end_ns);
+
+  /// Attaches key/value to a span; ignored beyond 4 attributes.
+  void attr(SpanId id, MetricId key, double value) noexcept;
 
   /// Recorded spans in begin order.
   [[nodiscard]] const std::vector<Span>& spans() const noexcept { return spans_; }

@@ -2,7 +2,15 @@
 
 namespace ev::obs {
 
-SpanId TraceLog::begin(MetricId name, MetricId category, std::int64_t begin_ns) {
+void TraceLog::attr(SpanId id, MetricId key, double value) noexcept {
+  if (id >= spans_.size()) return;
+  Span& s = spans_[id];
+  if (s.attr_count >= s.attrs.size()) return;
+  s.attrs[s.attr_count++] = SpanAttr{key, value};
+}
+
+SpanId TraceLog::complete(MetricId name, MetricId category, std::int64_t begin_ns,
+                          std::int64_t end_ns) {
   if (spans_.size() >= capacity_) {
     ++dropped_;
     return kInvalidId;
@@ -11,27 +19,9 @@ SpanId TraceLog::begin(MetricId name, MetricId category, std::int64_t begin_ns) 
   s.name = name;
   s.category = category;
   s.begin_ns = begin_ns;
+  if (end_ns >= begin_ns) s.end_ns = end_ns;
   spans_.push_back(s);
   return static_cast<SpanId>(spans_.size() - 1);
-}
-
-void TraceLog::attr(SpanId id, MetricId key, double value) noexcept {
-  if (id >= spans_.size()) return;
-  Span& s = spans_[id];
-  if (s.attr_count >= s.attrs.size()) return;
-  s.attrs[s.attr_count++] = SpanAttr{key, value};
-}
-
-void TraceLog::end(SpanId id, std::int64_t end_ns) noexcept {
-  if (id >= spans_.size()) return;
-  if (end_ns >= spans_[id].begin_ns) spans_[id].end_ns = end_ns;
-}
-
-SpanId TraceLog::complete(MetricId name, MetricId category, std::int64_t begin_ns,
-                          std::int64_t end_ns) {
-  const SpanId id = begin(name, category, begin_ns);
-  end(id, end_ns);
-  return id;
 }
 
 }  // namespace ev::obs

@@ -29,8 +29,6 @@ class DriveCycle {
   [[nodiscard]] double duration_s() const noexcept { return points_.back().t_s; }
   /// Distance covered when tracking the profile exactly [m].
   [[nodiscard]] double ideal_distance_m() const noexcept;
-  /// Mean target speed over the cycle [m/s].
-  [[nodiscard]] double mean_speed_mps() const noexcept;
   /// Number of full stops (speed returns to zero) in the profile.
   [[nodiscard]] int stop_count() const noexcept;
   /// Cycle name.

@@ -81,8 +81,6 @@ class PowertrainSimulation {
   /// is capped at \p speed_limit_mps. Both apply until changed or cleared;
   /// the DegradationManager's outputs plug in here.
   void set_drive_limits(double torque_fraction, double speed_limit_mps);
-  /// Removes any degradation limits (service reset).
-  void clear_drive_limits() noexcept;
   /// Torque limit currently in force (1.0 when unconstrained).
   [[nodiscard]] double torque_limit_fraction() const noexcept {
     return torque_limit_fraction_;

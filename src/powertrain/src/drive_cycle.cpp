@@ -39,10 +39,6 @@ double DriveCycle::ideal_distance_m() const noexcept {
   return d;
 }
 
-double DriveCycle::mean_speed_mps() const noexcept {
-  return ideal_distance_m() / duration_s();
-}
-
 int DriveCycle::stop_count() const noexcept {
   int stops = 0;
   bool moving = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "ev/util/math.h"
 #include "ev/util/units.h"
@@ -24,11 +23,6 @@ PowertrainSimulation::PowertrainSimulation(PowertrainConfig config)
 void PowertrainSimulation::set_drive_limits(double torque_fraction, double speed_limit_mps) {
   torque_limit_fraction_ = std::clamp(torque_fraction, 0.0, 1.0);
   speed_limit_mps_ = std::max(speed_limit_mps, 0.0);
-}
-
-void PowertrainSimulation::clear_drive_limits() noexcept {
-  torque_limit_fraction_ = 1.0;
-  speed_limit_mps_ = std::numeric_limits<double>::infinity();
 }
 
 PowertrainSnapshot PowertrainSimulation::step(double target_speed_mps) {

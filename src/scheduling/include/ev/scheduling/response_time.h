@@ -39,12 +39,4 @@ struct FpResponse {
 /// Total utilization of a task set (sum wcet/period).
 [[nodiscard]] double utilization(const std::vector<FpTask>& tasks) noexcept;
 
-/// Worst-case end-to-end latency of an asynchronous (sampled) chain: each
-/// hop contributes its worst-case response time plus up to one period of
-/// sampling delay at the consumer (no synchronization between stages).
-/// \p hop_response_us and \p hop_period_us are per-stage values in order.
-[[nodiscard]] std::int64_t sampled_chain_latency_us(
-    const std::vector<std::int64_t>& hop_response_us,
-    const std::vector<std::int64_t>& hop_period_us);
-
 }  // namespace ev::scheduling

@@ -1,7 +1,6 @@
 #include "ev/scheduling/response_time.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "ev/util/math.h"
 
@@ -45,20 +44,6 @@ double utilization(const std::vector<FpTask>& tasks) noexcept {
   for (const FpTask& t : tasks)
     u += static_cast<double>(t.wcet_us) / static_cast<double>(t.period_us);
   return u;
-}
-
-std::int64_t sampled_chain_latency_us(const std::vector<std::int64_t>& hop_response_us,
-                                      const std::vector<std::int64_t>& hop_period_us) {
-  if (hop_response_us.size() != hop_period_us.size())
-    throw std::invalid_argument("sampled_chain_latency_us: size mismatch");
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < hop_response_us.size(); ++i) {
-    total += hop_response_us[i];
-    // Every stage after the first may just miss the producer's update and
-    // sample it one full period later.
-    if (i > 0) total += hop_period_us[i];
-  }
-  return total;
 }
 
 }  // namespace ev::scheduling

@@ -8,7 +8,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace ev::security {
 
@@ -22,9 +21,6 @@ class ChaCha20 {
 
   /// Encrypts (== decrypts) \p data in place by XOR with the keystream.
   void apply(std::span<std::uint8_t> data) noexcept;
-
-  /// Convenience: returns the transformed copy of \p data.
-  [[nodiscard]] std::vector<std::uint8_t> transform(std::span<const std::uint8_t> data);
 
  private:
   void refill() noexcept;

@@ -71,10 +71,4 @@ void ChaCha20::apply(std::span<std::uint8_t> data) noexcept {
   }
 }
 
-std::vector<std::uint8_t> ChaCha20::transform(std::span<const std::uint8_t> data) {
-  std::vector<std::uint8_t> out(data.begin(), data.end());
-  apply(out);
-  return out;
-}
-
 }  // namespace ev::security

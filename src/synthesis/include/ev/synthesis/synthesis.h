@@ -71,7 +71,6 @@ struct SynthesisResult {
 /// Renders the deterministic synthesis report JSON (no timing —
 /// byte-identical across same-seed reruns).
 void write_synthesis_json(const SynthesisResult& result, std::ostream& out);
-[[nodiscard]] std::string synthesis_json(const SynthesisResult& result);
 
 // --- building blocks (exposed for unit tests) -------------------------------
 

@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "ev/analysis/model.h"
@@ -698,12 +697,6 @@ void write_synthesis_json(const SynthesisResult& result, std::ostream& out) {
   }
   out << (result.pareto.empty() ? "]\n" : "\n  ]\n");
   out << "}\n";
-}
-
-std::string synthesis_json(const SynthesisResult& result) {
-  std::ostringstream out;
-  write_synthesis_json(result, out);
-  return out.str();
 }
 
 }  // namespace ev::synthesis

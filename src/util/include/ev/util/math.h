@@ -36,12 +36,6 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
   return t;
 }
 
-/// Wraps an angle in radians into [-pi, pi).
-[[nodiscard]] inline double wrap_angle_signed(double theta) noexcept {
-  double t = wrap_angle(theta + kPi);
-  return t - kPi;
-}
-
 /// True if \p a and \p b differ by at most \p abs_tol plus \p rel_tol
 /// of the larger magnitude.
 [[nodiscard]] inline bool approx_equal(double a, double b, double abs_tol = 1e-9,
@@ -64,11 +58,6 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
     b = t;
   }
   return a;
-}
-
-/// Least common multiple of positive operands; may overflow for huge inputs.
-[[nodiscard]] constexpr std::int64_t lcm64(std::int64_t a, std::int64_t b) noexcept {
-  return a / gcd64(a, b) * b;
 }
 
 }  // namespace ev::util

@@ -36,8 +36,6 @@ class RunningStats {
   [[nodiscard]] double max() const noexcept { return max_; }
   /// Sum of all observations.
   [[nodiscard]] double sum() const noexcept { return sum_; }
-  /// Peak-to-peak spread (max - min); 0 if empty.
-  [[nodiscard]] double range() const noexcept;
 
  private:
   std::size_t n_ = 0;
@@ -78,8 +76,6 @@ class SampleSeries {
   [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
   /// Arithmetic mean; 0 if empty.
   [[nodiscard]] double mean() const noexcept;
-  /// Sample standard deviation; 0 with fewer than two samples.
-  [[nodiscard]] double stddev() const noexcept;
   /// Minimum; 0 if empty.
   [[nodiscard]] double min() const noexcept;
   /// Maximum; 0 if empty.
@@ -114,8 +110,6 @@ class Histogram {
   [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
   /// Number of buckets.
   [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  /// Center value of bucket \p i.
-  [[nodiscard]] double bin_center(std::size_t i) const noexcept;
   /// Lower edge of the covered range.
   [[nodiscard]] double lo() const noexcept { return lo_; }
   /// Upper edge of the covered range.

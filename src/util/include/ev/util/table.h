@@ -1,7 +1,7 @@
 /// \file table.h
 /// Console table rendering for the benchmark harness. Every experiment binary
 /// prints its paper-shaped result rows through Table so output stays uniform
-/// and machine-greppable; to_csv provides the same data for post-processing.
+/// and machine-greppable.
 #pragma once
 
 #include <cstddef>
@@ -20,17 +20,8 @@ class Table {
   /// Appends a data row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
 
-  /// Number of data rows.
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
-  /// Number of columns.
-  [[nodiscard]] std::size_t columns() const noexcept { return headers_.size(); }
-  /// Cell accessor (row-major).
-  [[nodiscard]] const std::string& cell(std::size_t row, std::size_t col) const;
-
   /// Renders the table with aligned columns, box rules, and the title.
   [[nodiscard]] std::string to_string() const;
-  /// Renders the table as CSV (header row first, RFC-4180 quoting).
-  [[nodiscard]] std::string to_csv() const;
   /// Writes to_string() to stdout.
   void print() const;
 

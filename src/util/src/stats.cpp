@@ -46,8 +46,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double RunningStats::range() const noexcept { return n_ == 0 ? 0.0 : max_ - min_; }
-
 SeriesSummary summarize(const RunningStats& stats) noexcept {
   if (stats.count() == 0) return {};
   return {stats.count(), stats.sum() / static_cast<double>(stats.count()), stats.min(),
@@ -63,14 +61,6 @@ double SampleSeries::mean() const noexcept {
   if (samples_.empty()) return 0.0;
   return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
          static_cast<double>(samples_.size());
-}
-
-double SampleSeries::stddev() const noexcept {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0.0;
-  for (double s : samples_) acc += (s - m) * (s - m);
-  return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
 }
 
 double SampleSeries::min() const noexcept {
@@ -124,11 +114,6 @@ void Histogram::merge(const Histogram& other) {
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
   nan_ += other.nan_;
-}
-
-double Histogram::bin_center(std::size_t i) const noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(i) + 0.5) * width;
 }
 
 }  // namespace ev::util

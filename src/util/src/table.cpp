@@ -19,10 +19,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-const std::string& Table::cell(std::size_t row, std::size_t col) const {
-  return rows_.at(row).at(col);
-}
-
 std::string Table::to_string() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
@@ -50,28 +46,6 @@ std::string Table::to_string() const {
   rule();
   for (const auto& row : rows_) emit(row);
   rule();
-  return out.str();
-}
-
-std::string Table::to_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string q = "\"";
-    for (char ch : s) {
-      if (ch == '"') q += '"';
-      q += ch;
-    }
-    q += '"';
-    return q;
-  };
-  std::ostringstream out;
-  for (std::size_t c = 0; c < headers_.size(); ++c)
-    out << (c ? "," : "") << quote(headers_[c]);
-  out << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) out << (c ? "," : "") << quote(row[c]);
-    out << '\n';
-  }
   return out.str();
 }
 

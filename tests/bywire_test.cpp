@@ -72,18 +72,6 @@ TEST(Redundancy, SystematicFaultKillsIdenticalReplicas) {
   EXPECT_DOUBLE_EQ(rd.output, 0.6);
 }
 
-TEST(Redundancy, RepairRestores) {
-  ev::util::Rng rng(5);
-  RedundantChannelSet set = make_identical_redundancy(3, 0.0, 0.0);
-  set.inject_random_fault(0);
-  set.inject_random_fault(1);
-  EXPECT_TRUE(set.actuate(0.5, rng).undetected_wrong);
-  set.repair();
-  const VoteResult r = set.actuate(0.5, rng);
-  EXPECT_TRUE(r.valid);
-  EXPECT_FALSE(r.undetected_wrong);
-}
-
 TEST(Redundancy, ImplementationCount) {
   EXPECT_EQ(make_identical_redundancy(4, 0.0, 0.0).implementation_count(), 1u);
   EXPECT_EQ(make_diverse_redundancy(4, 0.0, 0.0).implementation_count(), 4u);

@@ -135,9 +135,6 @@ TEST(DegradationManager, EscalatesAndLatches) {
   EXPECT_EQ(deg.mode(), DriveMode::kSafeStop);
   EXPECT_DOUBLE_EQ(deg.torque_limit_fraction(), 0.0);
   EXPECT_EQ(deg.transitions(), 3u);
-
-  deg.service_reset();
-  EXPECT_EQ(deg.mode(), DriveMode::kNormal);
 }
 
 TEST(DegradationManager, BywireVoteMapsToModes) {
@@ -431,8 +428,6 @@ TEST(EndToEnd, DriveLimitsConstrainPowertrain) {
   }
   EXPECT_GT(v_free, 20.0);       // unconstrained plant approaches the target
   EXPECT_LE(v_limited, 13.0);    // limp-home plant respects the speed cap
-  sim_limited.clear_drive_limits();
-  EXPECT_DOUBLE_EQ(sim_limited.torque_limit_fraction(), 1.0);
 }
 
 }  // namespace

@@ -134,11 +134,14 @@ TEST(PubSub, PublicationsDuringFlushDeferred) {
 }
 
 TEST(PubSub, TypedTopicRoundTrip) {
-  const auto bytes = Topic<double>::encode(3.14159);
-  const Sample s{bytes, 42};
+  const double value = 3.14159;
+  const SampleView s{
+      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(&value), sizeof value),
+      42};
   EXPECT_DOUBLE_EQ(Topic<double>::decode(s), 3.14159);
   // Decoding with the wrong payload type is a detected error, not garbage.
-  EXPECT_THROW((void)Topic<double>::decode(Sample{{1, 2}, 0}), std::invalid_argument);
+  const std::uint8_t two_bytes[] = {1, 2};
+  EXPECT_THROW((void)Topic<double>::decode(SampleView{two_bytes, 0}), std::invalid_argument);
 }
 
 TEST(PubSub, TypedTopicCarriesPodStructs) {
@@ -230,43 +233,6 @@ TEST(PubSub, ViewToSampleDeepCopies) {
   // The copy outlives the flush that produced the view.
   EXPECT_EQ(kept.data, (std::vector<std::uint8_t>{42, 43}));
   EXPECT_EQ(kept.published_us, 5);
-}
-
-// ------------------------------------------------------ subscriber queue ----
-
-TEST(SubscriberQueue, BuffersAcrossFlushAndDrainsViews) {
-  PubSubBroker broker;
-  Topic<double> topic(broker, 6);
-  SubscriberQueue queue(broker, 6);
-  topic.publish(1.5, 10);
-  topic.publish(2.5, 20);
-  broker.flush();
-  EXPECT_EQ(queue.size(), 2u);
-  std::vector<double> values;
-  std::vector<std::int64_t> stamps;
-  queue.drain([&](const SampleView& s) {
-    values.push_back(Topic<double>::decode(s));
-    stamps.push_back(s.published_us);
-  });
-  EXPECT_EQ(values, (std::vector<double>{1.5, 2.5}));
-  EXPECT_EQ(stamps, (std::vector<std::int64_t>{10, 20}));
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.total_enqueued(), 2u);
-}
-
-TEST(SubscriberQueue, ClearDropsBacklog) {
-  PubSubBroker broker;
-  Topic<int> topic(broker, 3);
-  SubscriberQueue queue(broker, 3);
-  topic.publish(1, 0);
-  broker.flush();
-  EXPECT_EQ(queue.size(), 1u);
-  queue.clear();
-  EXPECT_TRUE(queue.empty());
-  int drained = 0;
-  queue.drain([&](const SampleView&) { ++drained; });
-  EXPECT_EQ(drained, 0);
-  EXPECT_EQ(queue.total_enqueued(), 1u);
 }
 
 // ------------------------------------------------------------- services ----

@@ -1,8 +1,7 @@
 // Unit tests for the in-vehicle network models: CAN (+ response-time
 // analysis, bit-exact against a test-local oracle), LIN, FlexRay, the CAN/FlexRay arbitration order against
 // test-local oracles, MOST, switched Ethernet (strict priority, CBS,
-// time-aware gates), PTP synchronization, the gateway, and the Fig. 1
-// topology builder.
+// time-aware gates), the gateway, and the Fig. 1 topology builder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include "ev/network/gateway.h"
 #include "ev/network/lin.h"
 #include "ev/network/most.h"
-#include "ev/network/ptp.h"
 #include "ev/obs/metrics.h"
 #include "ev/network/topology.h"
 #include "ev/sim/simulator.h"
@@ -1120,40 +1118,6 @@ TEST(Ethernet, MulticastFanOut) {
 TEST(Ethernet, MinimumFramePadding) {
   EXPECT_EQ(EthernetSwitch::frame_bits(1), EthernetSwitch::frame_bits(46));
   EXPECT_GT(EthernetSwitch::frame_bits(100), EthernetSwitch::frame_bits(46));
-}
-
-// ------------------------------------------------------------------ PTP ----
-
-TEST(Ptp, ResidualErrorBounded) {
-  Simulator sim;
-  ev::util::Rng rng(31);
-  PtpConfig cfg;
-  PtpSync sync(sim, {20.0, -35.0, 50.0}, cfg, rng);
-  sync.start();
-  sim.run_until(Time::s(10));
-  EXPECT_GT(sync.rounds(), 50u);
-  // After convergence the residual must be far below a millisecond —
-  // microsecond-class, enabling time-triggered Ethernet guard bands.
-  EXPECT_LT(sync.residual_error().percentile(99), 20e-6);
-}
-
-TEST(Ptp, AsymmetryCreatesErrorFloor) {
-  Simulator sim;
-  ev::util::Rng rng(33);
-  PtpConfig cfg;
-  cfg.asymmetry_s = 5e-6;
-  PtpSync sync(sim, {10.0}, cfg, rng);
-  sync.start();
-  sim.run_until(Time::s(10));
-  // The uncompensated asymmetry biases every estimate by ~asymmetry.
-  EXPECT_GT(sync.residual_error().percentile(50), 2e-6);
-}
-
-TEST(DriftingClock, DriftAccumulates) {
-  DriftingClock clock(100.0, 0.0);  // 100 ppm
-  EXPECT_NEAR(clock.error_s(Time::s(10)), 1e-3, 1e-9);
-  clock.correct(1e-3);
-  EXPECT_NEAR(clock.error_s(Time::s(10)), 0.0, 1e-9);
 }
 
 // -------------------------------------------------------------- gateway ----

@@ -186,9 +186,8 @@ TEST(SpanTrace, RecordsBeginAttrEnd) {
   const MetricId name = log.intern("window");
   const MetricId cat = log.intern("partition");
   const MetricId key = log.intern("util");
-  const SpanId s = log.begin(name, cat, 1000);
+  const SpanId s = log.complete(name, cat, 1000, 3000);
   log.attr(s, key, 0.5);
-  log.end(s, 3000);
   ASSERT_EQ(log.spans().size(), 1u);
   const Span& span = log.spans().front();
   EXPECT_EQ(span.begin_ns, 1000);
@@ -209,7 +208,6 @@ TEST(SpanTrace, BoundedCapacityCountsDrops) {
   EXPECT_EQ(log.dropped(), 1u);
   // Operations on the sentinel id are safe no-ops.
   log.attr(kInvalidId, n, 1.0);
-  log.end(kInvalidId, 9);
 }
 
 // -------------------------------------------------------------- exporters ----
@@ -295,10 +293,9 @@ TEST(Export, ChromeTraceEmitsCompleteEvents) {
   const MetricId name = log.intern("ctrl");
   const MetricId cat = log.intern("partition");
   const MetricId key = log.intern("util");
-  const SpanId s = log.begin(name, cat, 2'000'000);  // 2 ms in ns
+  const SpanId s = log.complete(name, cat, 2'000'000, 3'500'000);  // 2 ms in ns
   log.attr(s, key, 0.25);
-  log.end(s, 3'500'000);
-  (void)log.begin(name, cat, 9'000'000);  // still open: must be skipped
+  (void)log.complete(name, cat, 9'000'000, 0);  // open: must be skipped
   std::ostringstream out;
   write_chrome_trace(log, out);
   const std::string j = out.str();

@@ -280,15 +280,4 @@ TEST(Utilization, Sums) {
   EXPECT_DOUBLE_EQ(utilization(tasks), 0.5);
 }
 
-TEST(SampledChain, AddsPeriodPerHop) {
-  // Three hops: response times 1,2,3 ms; periods 10 ms each.
-  const std::int64_t latency =
-      sampled_chain_latency_us({1000, 2000, 3000}, {10000, 10000, 10000});
-  EXPECT_EQ(latency, 1000 + (2000 + 10000) + (3000 + 10000));
-}
-
-TEST(SampledChain, SizeMismatchRejected) {
-  EXPECT_THROW((void)sampled_chain_latency_us({1000}, {}), std::invalid_argument);
-}
-
 }  // namespace

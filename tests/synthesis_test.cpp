@@ -56,6 +56,12 @@ std::string read_file(const std::string& path) {
   return text.str();
 }
 
+std::string synthesis_json(const SynthesisResult& result) {
+  std::ostringstream out;
+  write_synthesis_json(result, out);
+  return out.str();
+}
+
 SynthesisOptions quick_options(std::uint64_t seed = 1, int iters = 10) {
   SynthesisOptions options;
   options.seed = seed;

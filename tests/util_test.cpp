@@ -42,7 +42,6 @@ TEST(Math, SignFunction) {
 TEST(Math, WrapAngleIntoRange) {
   EXPECT_NEAR(wrap_angle(3.0 * kTwoPi + 0.5), 0.5, 1e-12);
   EXPECT_NEAR(wrap_angle(-0.5), kTwoPi - 0.5, 1e-12);
-  EXPECT_NEAR(wrap_angle_signed(kTwoPi - 0.25), -0.25, 1e-12);
 }
 
 TEST(Math, ApproxEqualTolerances) {
@@ -55,18 +54,11 @@ TEST(Math, IntegerHelpers) {
   EXPECT_EQ(ceil_div(10, 3), 4);
   EXPECT_EQ(ceil_div(9, 3), 3);
   EXPECT_EQ(gcd64(12, 18), 6);
-  EXPECT_EQ(lcm64(4, 6), 12);
-  EXPECT_EQ(lcm64(10000, 25000), 50000);
 }
 
 TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(kmh_to_mps(36.0), 10.0);
-  EXPECT_DOUBLE_EQ(mps_to_kmh(10.0), 36.0);
-  EXPECT_NEAR(rpm_to_rad_s(60.0), kTwoPi, 1e-9);
-  EXPECT_NEAR(rad_s_to_rpm(rpm_to_rad_s(1234.0)), 1234.0, 1e-9);
-  EXPECT_DOUBLE_EQ(wh_to_j(1.0), 3600.0);
-  EXPECT_DOUBLE_EQ(j_to_kwh(3.6e6), 1.0);
-  EXPECT_DOUBLE_EQ(ah_to_coulomb(2.0), 7200.0);
+  EXPECT_DOUBLE_EQ(j_to_wh(7200.0), 2.0);
 }
 
 // ----------------------------------------------------------------- rng ----
@@ -170,7 +162,6 @@ TEST(RunningStats, BasicMoments) {
   EXPECT_NEAR(s.stddev(), 2.138, 1e-3);
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
-  EXPECT_EQ(s.range(), 7.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
@@ -179,7 +170,6 @@ TEST(RunningStats, EmptyIsSafe) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.range(), 0.0);
 }
 
 TEST(RunningStats, EmptyMinMaxAreIdentityElements) {
@@ -291,7 +281,6 @@ TEST(Histogram, BinningAndClamping) {
   EXPECT_EQ(h.bin_count(0), 2u);
   EXPECT_EQ(h.bin_count(9), 2u);
   EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
 }
 
 TEST(Histogram, ExtremeValuesClampWithoutOverflow) {
@@ -353,21 +342,12 @@ TEST(Table, RendersAlignedColumns) {
   const std::string s = t.to_string();
   EXPECT_NE(s.find("demo"), std::string::npos);
   EXPECT_NE(s.find("alpha"), std::string::npos);
-  EXPECT_EQ(t.rows(), 2u);
-  EXPECT_EQ(t.cell(1, 1), "22");
+  EXPECT_NE(s.find("22"), std::string::npos);
 }
 
 TEST(Table, RejectsMismatchedRow) {
   Table t("x", {"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
-}
-
-TEST(Table, CsvEscaping) {
-  Table t("", {"a", "b"});
-  t.add_row({"has,comma", "has\"quote"});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
 }
 
 TEST(Format, FixedAndSiAndPercent) {
