@@ -6,8 +6,6 @@
 //  A1d  TT-Ethernet gate window width: protected latency vs bandwidth
 //       sacrificed to the guard window.
 //  A1e  Cache associativity: abstract WCET bound vs hardware cost.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <memory>
 
@@ -221,19 +219,9 @@ void run_experiment() {
   ablation_cache_ways();
 }
 
-void bm_observer_update(benchmark::State& state) {
-  auto curve = std::make_shared<const ev::battery::OcvCurve>(ev::battery::OcvCurve::nmc());
-  ev::bms::VoltageCorrectedEstimator est(40.0, 0.5, curve, 0.0015);
-  for (auto _ : state) {
-    est.update(10.0, 3.7, 0.1);
-    benchmark::DoNotOptimize(est.soc());
-  }
-}
-BENCHMARK(bm_observer_update);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("a1_ablations", argc, argv);
+  return evbench::finish("a1_ablations");
 }

@@ -4,8 +4,6 @@
 // argument that "a GPU is significantly faster at processing an image"
 // thanks to hardware-level parallelism, with overhead dominating small
 // inputs.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -83,29 +81,9 @@ void run_experiment() {
             "realizable scaling.\n");
 }
 
-void bm_scalar(benchmark::State& state) {
-  ev::util::Rng rng(33);
-  const Image img = generate_scene(static_cast<std::size_t>(state.range(0)),
-                                   static_cast<std::size_t>(state.range(0)) * 3 / 4, 4,
-                                   rng);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(detect_pedestrians_scalar(img, DetectorConfig{}));
-}
-BENCHMARK(bm_scalar)->Arg(160)->Arg(640)->Unit(benchmark::kMillisecond);
-
-void bm_parallel8(benchmark::State& state) {
-  ev::util::Rng rng(33);
-  const Image img = generate_scene(static_cast<std::size_t>(state.range(0)),
-                                   static_cast<std::size_t>(state.range(0)) * 3 / 4, 4,
-                                   rng);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(detect_pedestrians_parallel(img, DetectorConfig{}, 8));
-}
-BENCHMARK(bm_parallel8)->Arg(160)->Arg(640)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e10_parallel_vision", argc, argv);
+  return evbench::finish("e10_parallel_vision");
 }

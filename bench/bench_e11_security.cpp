@@ -1,19 +1,15 @@
-// Experiment E11 (paper Section 4.2): security. Three parts:
+// Experiment E11 (paper Section 4.2): security. Two parts:
 //  (a) per-frame overhead of authenticated (+encrypted) communication on
 //      CAN vs FlexRay vs Ethernet payloads — the paper's claim that CAN is
 //      "unsuitable for a secure communication due to the limited message
 //      size";
-//  (b) crypto primitive throughput on the (simulated) ECU class;
-//  (c) the charging-plug attack/defence matrix with the man-in-the-middle
+//  (b) the charging-plug attack/defence matrix with the man-in-the-middle
 //      from refs [35][36].
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "ev/security/charging.h"
 #include "ev/security/hmac.h"
 #include "ev/security/secure_channel.h"
-#include "ev/security/sha256.h"
 #include "ev/util/table.h"
 #include "harness.h"
 
@@ -45,10 +41,7 @@ void run_experiment() {
   }
   overhead.print();
 
-  // --- (b) primitive throughput ----------------------------------------------
-  std::puts("(primitive throughput measured below by google-benchmark)\n");
-
-  // --- (c) charging attack/defence matrix ------------------------------------
+  // --- (b) charging attack/defence matrix ------------------------------------
   ev::util::Rng rng(17);
   const Key credential(16, 0x77);
   ev::util::Table matrix("charging-session MITM (11 kW, 30 min)",
@@ -85,35 +78,9 @@ void run_experiment() {
             "frames while Ethernet absorbs the overhead.\n");
 }
 
-void bm_sha256_1k(benchmark::State& state) {
-  std::vector<std::uint8_t> data(1024, 0xAB);
-  for (auto _ : state) benchmark::DoNotOptimize(Sha256::hash(data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
-}
-BENCHMARK(bm_sha256_1k);
-
-void bm_hmac_64(benchmark::State& state) {
-  const Key key(32, 1);
-  std::vector<std::uint8_t> msg(64, 0xCD);
-  for (auto _ : state) benchmark::DoNotOptimize(hmac_sha256(key, msg));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(bm_hmac_64);
-
-void bm_secure_channel_roundtrip(benchmark::State& state) {
-  SecureChannel tx(Key(32, 2), 9);
-  SecureChannel rx(Key(32, 2), 9);
-  std::vector<std::uint8_t> msg(32, 0xEF);
-  for (auto _ : state) {
-    const auto wire = tx.protect(msg);
-    benchmark::DoNotOptimize(rx.unprotect(wire));
-  }
-}
-BENCHMARK(bm_secure_channel_roundtrip);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e11_security", argc, argv);
+  return evbench::finish("e11_security");
 }

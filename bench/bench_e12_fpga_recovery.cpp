@@ -4,8 +4,6 @@
 // compared against full-device reconfiguration, spare-ECU failover, and
 // dual hot-standby hardware: per-fault recovery time, mission availability,
 // collateral (isolation) downtime, and hardware overhead.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "ev/ecu/fpga.h"
@@ -59,19 +57,9 @@ void run_experiment() {
             "hardware cost.\n");
 }
 
-void bm_mission_simulation(benchmark::State& state) {
-  const FpgaConfig cfg;
-  for (auto _ : state) {
-    ev::util::Rng rng(5);
-    benchmark::DoNotOptimize(simulate_mission(
-        cfg, RecoveryStrategy::kPartialReconfiguration, 1000.0 * 3600.0, rng));
-  }
-}
-BENCHMARK(bm_mission_simulation);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e12_fpga_recovery", argc, argv);
+  return evbench::finish("e12_fpga_recovery");
 }

@@ -2,8 +2,6 @@
 // of multi-core ECUs. How many software functions can one ECU host as the
 // core count grows, under time-triggered partitioned placement with shared-
 // resource interference — and where interference erodes the scaling.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "ev/core/architecture.h"
@@ -96,18 +94,9 @@ void run_experiment() {
             "predictable multi-core OS design the paper cites ([19],[20]).\n");
 }
 
-void bm_placement(benchmark::State& state) {
-  const auto pool = function_pool(static_cast<std::size_t>(state.range(0)));
-  MulticoreConfig cfg;
-  cfg.core_count = 8;
-  const MulticoreEcu ecu(cfg);
-  for (auto _ : state) benchmark::DoNotOptimize(ecu.place(pool));
-}
-BENCHMARK(bm_placement)->Arg(64)->Arg(256);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e13_multicore", argc, argv);
+  return evbench::finish("e13_multicore");
 }

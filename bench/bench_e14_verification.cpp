@@ -4,8 +4,6 @@
 // verified/violated matrix for representative system/requirement pairs and
 // measures how checking effort grows with the requirement window — the
 // scalability challenge the paper flags.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 
@@ -74,18 +72,9 @@ void run_experiment() {
             "challenge.\n");
 }
 
-void bm_verify_window(benchmark::State& state) {
-  const auto sys = TransmissionSystem::arbitrated(3);
-  const MonitorDfa req =
-      MonitorDfa::at_least_m_of_n(static_cast<std::size_t>(state.range(0)) / 2,
-                                  static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(verify(sys, req));
-}
-BENCHMARK(bm_verify_window)->Arg(8)->Arg(16)->Arg(20);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e14_verification", argc, argv);
+  return evbench::finish("e14_verification");
 }

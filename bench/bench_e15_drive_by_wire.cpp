@@ -8,8 +8,6 @@
 //  (b) Monte-Carlo missions with rare fault arrivals: probability that a
 //      mission contains a *dangerous* (undetected wrong output) cycle vs a
 //      *safe detected* loss of function.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "ev/bywire/brake_system.h"
@@ -131,25 +129,9 @@ void run_experiment() {
   monte_carlo_table();
 }
 
-void bm_vote_cycle(benchmark::State& state) {
-  RedundantChannelSet set = make_diverse_redundancy(3, 0.0, 0.0);
-  ev::util::Rng rng(1);
-  for (auto _ : state) benchmark::DoNotOptimize(set.actuate(0.5, rng));
-}
-BENCHMARK(bm_vote_cycle);
-
-void bm_brake_mission(benchmark::State& state) {
-  BrakeSystemConfig cfg;
-  for (auto _ : state) {
-    ev::util::Rng rng(3);
-    benchmark::DoNotOptimize(simulate_brake_mission(cfg, 0.05, rng));
-  }
-}
-BENCHMARK(bm_brake_mission)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e15_drive_by_wire", argc, argv);
+  return evbench::finish("e15_drive_by_wire");
 }

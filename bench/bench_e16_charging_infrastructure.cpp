@@ -5,8 +5,6 @@
 // as the number and location of charging stations". Measures queue waiting,
 // detours, and strandings for the uncoordinated vs coordinated policy as
 // fleet pressure rises, plus the V2G energy the fleet can feed back.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "ev/infra/charging_network.h"
@@ -63,20 +61,9 @@ void run_experiment() {
             "drivers' range.\n");
 }
 
-void bm_fleet_simulation(benchmark::State& state) {
-  FleetConfig cfg;
-  cfg.vehicle_count = static_cast<std::size_t>(state.range(0));
-  cfg.sim_hours = 2.0;
-  for (auto _ : state) {
-    ChargingNetwork net(cfg);
-    benchmark::DoNotOptimize(net.run(AssignmentPolicy::kCoordinated));
-  }
-}
-BENCHMARK(bm_fleet_simulation)->Arg(40)->Arg(120)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e16_charging_infrastructure", argc, argv);
+  return evbench::finish("e16_charging_infrastructure");
 }

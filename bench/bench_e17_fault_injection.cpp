@@ -9,8 +9,6 @@
 // class, how the detection chain and the DegradationManager responded.
 // The whole campaign is a pure function of the seed: same seed, same
 // BENCH_e17_fault_injection.json, byte for byte.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -234,48 +232,9 @@ void run_experiment() {
             "safe-stop) instead of failing on the first fault.\n");
 }
 
-// Happy-path cost of the fault gate: a send/deliver cycle with no fault
-// armed pays one untaken branch — this stays in the same ballpark as the
-// pre-fault-model bus.
-void bm_bus_send_no_faults(benchmark::State& state) {
-  Simulator sim;
-  ev::network::CanBus can(sim, "can", 500e3);
-  can.subscribe([](const ev::network::Frame&, Time) {});
-  std::uint32_t id = 1;
-  for (auto _ : state) {
-    ev::network::Frame f;
-    f.id = id++ & 0x7ff;
-    f.source = 1;
-    benchmark::DoNotOptimize(can.send(f));
-    sim.run();
-  }
-}
-BENCHMARK(bm_bus_send_no_faults);
-
-void bm_full_campaign(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_campaign(kSeed, nullptr));
-}
-BENCHMARK(bm_full_campaign)->Unit(benchmark::kMillisecond);
-
-void bm_health_check_cycle(benchmark::State& state) {
-  Simulator sim;
-  ev::middleware::Middleware mw(sim, "ecu", 10000);
-  for (int i = 0; i < 8; ++i)
-    (void)mw.create_partition("p" + std::to_string(i), 1000);
-  ev::middleware::HealthMonitor health(sim, mw);
-  health.start();
-  mw.start();
-  Time horizon = Time::ms(10);
-  for (auto _ : state) {
-    sim.run_until(horizon);
-    horizon = horizon + Time::ms(10);
-  }
-}
-BENCHMARK(bm_health_check_cycle);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e17_fault_injection", argc, argv);
+  return evbench::finish("e17_fault_injection");
 }

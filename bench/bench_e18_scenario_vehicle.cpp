@@ -9,8 +9,6 @@
 // delivered. The scenario text itself round-trips losslessly, and same
 // scenario + same seed means byte-identical result JSON — the property the
 // CI determinism job checks end to end.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -132,25 +130,9 @@ void run_experiment() {
             "of stopping at the first fault.\n");
 }
 
-void bm_spec_roundtrip(benchmark::State& state) {
-  const ScenarioSpec spec = faulted_scenario(7);
-  for (auto _ : state) {
-    const std::string text = spec.to_text();
-    benchmark::DoNotOptimize(ev::config::ScenarioSpec::from_text(text));
-  }
-}
-BENCHMARK(bm_spec_roundtrip)->Unit(benchmark::kMicrosecond);
-
-void bm_build_vehicle(benchmark::State& state) {
-  const ScenarioSpec spec = faulted_scenario(7);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ev::core::build_vehicle(spec));
-}
-BENCHMARK(bm_build_vehicle)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e18_scenario_vehicle", argc, argv);
+  return evbench::finish("e18_scenario_vehicle");
 }

@@ -9,8 +9,6 @@
 // cockpit pub/sub delivery latency, and gateway hop latency.
 // Any observation above its bound is a soundness violation and fails the
 // binary. The margin column shows how conservative each bound is.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -89,25 +87,10 @@ int run_experiment() {
   return violations;
 }
 
-void bm_extract_model(benchmark::State& state) {
-  const ScenarioSpec spec = scenario(7);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ev::analysis::extract_model(spec));
-}
-BENCHMARK(bm_extract_model)->Unit(benchmark::kMicrosecond);
-
-void bm_analyze(benchmark::State& state) {
-  const ScenarioSpec spec = scenario(7);
-  const ev::analysis::VehicleModel model = ev::analysis::extract_model(spec);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ev::analysis::analyze(model));
-}
-BENCHMARK(bm_analyze)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const int violations = run_experiment();
-  const int rc = evbench::finish("e19_static_vs_sim", argc, argv);
+  const int rc = evbench::finish("e19_static_vs_sim");
   return violations > 0 ? 1 : rc;
 }

@@ -2,8 +2,6 @@
 // network with a central gateway. Regenerates per-bus utilization/latency
 // and the cross-domain (through-gateway) end-to-end latencies under the
 // representative message set, at increasing load.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -92,20 +90,9 @@ void run_experiment() {
   sweep.print();
 }
 
-void bm_figure1_simulation(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim;
-    Figure1Network net(sim);
-    net.start();
-    sim.run_until(Time::s(1));
-    benchmark::DoNotOptimize(net.gateway().forwarded_count());
-  }
-}
-BENCHMARK(bm_figure1_simulation)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e1_network_architecture", argc, argv);
+  return evbench::finish("e1_network_architecture");
 }

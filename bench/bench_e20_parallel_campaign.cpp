@@ -7,12 +7,9 @@
 // is byte-identical for any worker count — this experiment proves that
 // byte-equality across jobs = 1/2/4/8 and reports the wall-clock speedup
 // (expect ~min(jobs, cores)x on a multi-core host; exactly 1x on one core).
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "ev/campaign/campaign.h"
 #include "ev/config/scenario.h"
@@ -85,50 +82,9 @@ void run_experiment() {
             "count or the core count saturates.\n");
 }
 
-void bm_campaign(benchmark::State& state) {
-  const int jobs = static_cast<int>(state.range(0));
-  const ev::config::ScenarioSpec spec = campaign_scenario();
-  for (auto _ : state) {
-    const CampaignOptions options{{1, 1, kSeeds}, jobs};
-    benchmark::DoNotOptimize(run_scenario_campaign(spec, options));
-  }
-}
-BENCHMARK(bm_campaign)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
-
-void bm_worker_pool_overhead(benchmark::State& state) {
-  // Pool spin-up + drain + join for an empty task fan: the fixed cost a
-  // campaign pays before any simulation work happens.
-  for (auto _ : state) {
-    ev::util::WorkerPool pool(4);
-    pool.run(64, [](int i) { benchmark::DoNotOptimize(i); });
-  }
-}
-BENCHMARK(bm_worker_pool_overhead)->Unit(benchmark::kMicrosecond);
-
-void bm_registry_merge(benchmark::State& state) {
-  // Cost of folding one shard registry into the aggregate (the serial
-  // section of every campaign).
-  ev::obs::MetricsRegistry shard;
-  for (int i = 0; i < 32; ++i) {
-    const std::string base = "m" + std::to_string(i);
-    shard.add(shard.counter(base + ".count"), 7);
-    shard.set(shard.gauge(base + ".peak"), 1.5 * i);
-    const auto h = shard.histogram(base + ".latency", 0.0, 1e4, 64);
-    for (int s = 0; s < 16; ++s) shard.observe(h, 100.0 * s);
-  }
-  for (auto _ : state) {
-    ev::obs::MetricsRegistry merged;
-    merged.merge(shard);
-    merged.merge(shard);
-    benchmark::DoNotOptimize(merged.size());
-  }
-}
-BENCHMARK(bm_registry_merge)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e20_parallel_campaign", argc, argv);
+  return evbench::finish("e20_parallel_campaign");
 }

@@ -9,13 +9,8 @@
 // pre-rework design is archived in EXPERIMENTS.md E21. Wall-clock gauges
 // live only here — never in the byte-compared E2/E17/E18 artifacts — and
 // feed scripts/perfgate.py.
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -111,23 +106,8 @@ std::uint64_t run_event_mix(ev::sim::Simulator& kernel, int sim_seconds) {
   for (int node = 0; node < 200; ++node)  // ECU heartbeats: live-set depth
     kernel.schedule_periodic(Time::ms(5 + node), Time::ms(1000), [&] { ++work; });
   kernel.run_until(Time::seconds(sim_seconds));
-  benchmark::DoNotOptimize(work);
+  evbench::keep(work);
   return kernel.dispatched();
-}
-
-double wall_seconds(const std::function<void()>& body) {
-  const auto start = std::chrono::steady_clock::now();
-  body();
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
-}
-
-/// Best of three: the gauges feed a wall-time regression gate, so shave off
-/// scheduler noise instead of averaging it in.
-double best_wall_of3(const std::function<void()>& body) {
-  double best = wall_seconds(body);
-  for (int i = 0; i < 2; ++i) best = std::min(best, wall_seconds(body));
-  return best;
 }
 
 constexpr int kMixSimSeconds = 30;
@@ -144,7 +124,7 @@ struct KernelRun {
 KernelRun measure_kernel() {
   KernelRun run;
   const std::uint64_t heap_before = ev::sim::EventFn::heap_constructions();
-  run.wall_s = best_wall_of3([&run] {
+  run.wall_s = evbench::best_of3_wall_seconds([&run] {
     ev::sim::Simulator kernel;
     run.dispatched = run_event_mix(kernel, kMixSimSeconds);
   });
@@ -165,11 +145,11 @@ ev::battery::CellBatch make_batch(std::size_t count) {
 double measure_cells(std::size_t count, int steps) {
   const std::vector<double> current(count, 12.0);
   const std::vector<double> heat(count, 0.0);
-  return best_wall_of3([&] {
+  return evbench::best_of3_wall_seconds([&] {
     ev::battery::CellBatch batch = make_batch(count);
     for (int s = 0; s < steps; ++s)
       (void)batch.step_all(current, heat, 0.01, 25.0);
-    benchmark::DoNotOptimize(ev::battery::CellConstView(batch, 0).soc());
+    evbench::keep(ev::battery::CellConstView(batch, 0).soc());
   });
 }
 
@@ -180,7 +160,7 @@ double measure_cells(std::size_t count, int steps) {
 /// drive/regen current profile: the cell plant, the module sweep, the safety
 /// monitor and the balancers, without the vehicle around them.
 double measure_plant(int periods) {
-  return best_wall_of3([periods] {
+  return evbench::best_of3_wall_seconds([periods] {
     ev::util::Rng rng(21);
     ev::battery::PackConfig pack_config;
     pack_config.module_count = 16;
@@ -193,7 +173,7 @@ double measure_plant(int periods) {
       (void)pack.step(k % 500 < 300 ? 60.0 : -25.0, 0.01);
       (void)bms.step(pack, 0.01, rng);
     }
-    benchmark::DoNotOptimize(pack.mean_soc());
+    evbench::keep(pack.mean_soc());
   });
 }
 
@@ -207,7 +187,7 @@ double measure_publish(int samples) {
   };
   constexpr ev::middleware::TopicId kTopic = 21;
   constexpr int kFlushEvery = 64;
-  return best_wall_of3([samples] {
+  return evbench::best_of3_wall_seconds([samples] {
     ev::middleware::PubSubBroker broker;
     std::uint64_t bytes = 0;
     broker.subscribe(kTopic, [&bytes](const ev::middleware::SampleView& view) {
@@ -223,7 +203,7 @@ double measure_publish(int samples) {
       if (i % kFlushEvery == kFlushEvery - 1) (void)broker.flush(i);
     }
     (void)broker.flush(samples);
-    benchmark::DoNotOptimize(bytes);
+    evbench::keep(bytes);
   });
 }
 
@@ -237,7 +217,7 @@ double measure_scenario() {
   spec.subsystems.obs = false;
   spec.subsystems.faults = true;
   spec.subsystems.health = true;
-  return wall_seconds([&spec] { (void)ev::core::run_scenario(spec, nullptr); });
+  return evbench::wall_seconds([&spec] { (void)ev::core::run_scenario(spec, nullptr); });
 }
 
 void run_experiment() {
@@ -275,44 +255,9 @@ void run_experiment() {
   evbench::set_gauge("e21.scenario.wall_s", scenario_s);
 }
 
-void bm_arena_event_mix(benchmark::State& state) {
-  for (auto _ : state) {
-    ev::sim::Simulator kernel;
-    benchmark::DoNotOptimize(run_event_mix(kernel, 1));
-  }
-}
-BENCHMARK(bm_arena_event_mix)->Unit(benchmark::kMillisecond);
-
-void bm_cell_batch_step_all(benchmark::State& state) {
-  ev::battery::CellBatch batch = make_batch(96);
-  const std::vector<double> current(96, 12.0);
-  const std::vector<double> heat(96, 0.0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(batch.step_all(current, heat, 0.01, 25.0));
-}
-BENCHMARK(bm_cell_batch_step_all)->Unit(benchmark::kMicrosecond);
-
-void bm_span_publish_flush(benchmark::State& state) {
-  ev::middleware::PubSubBroker broker;
-  std::uint64_t bytes = 0;
-  broker.subscribe(21, [&bytes](const ev::middleware::SampleView& view) {
-    bytes += view.data.size();
-  });
-  double payload[3] = {1.0, 2.0, 3.0};
-  for (auto _ : state) {
-    broker.publish(21,
-                   std::span<const std::uint8_t>(
-                       reinterpret_cast<const std::uint8_t*>(payload), sizeof(payload)),
-                   0);
-    broker.flush(0);
-    benchmark::DoNotOptimize(bytes);
-  }
-}
-BENCHMARK(bm_span_publish_flush)->Unit(benchmark::kNanosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e21_hot_path", argc, argv);
+  return evbench::finish("e21_hot_path");
 }

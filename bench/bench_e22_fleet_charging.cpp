@@ -9,16 +9,12 @@
 // redelivered until billing converges. Every run is a pure function of
 // (spec, seed): reports are byte-identical across reruns and worker counts,
 // so the exported snapshot carries no wall-clock gauges at all.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "ev/config/fleet.h"
-#include "ev/fleet/retry.h"
 #include "ev/fleet/simulation.h"
-#include "ev/util/rng.h"
 #include "ev/util/stats.h"
 #include "ev/util/table.h"
 #include "harness.h"
@@ -198,49 +194,9 @@ void run_experiment() {
             "every fault.\n");
 }
 
-void bm_fleet_run(benchmark::State& state) {
-  // One 15-minute run per iteration of the shipped depot yard's shape
-  // (examples/scenarios/depot_fleet.fleet: 96 stations on 6 feeders behind
-  // 400 kW, without its fault timeline): the serial tick loop's cost.
-  FleetSpec spec;
-  spec.name = "e22-depot";
-  spec.stations = 96;
-  spec.feeders = 6;
-  spec.sim_hours = 0.25;
-  spec.grid_capacity_kw = 400.0;
-  spec.arrival_rate_per_station_per_h = 1.2;
-  spec.session_energy_min_kwh = 4.0;
-  spec.session_energy_max_kwh = 18.0;
-  spec.rogue_stations = 2;
-  spec.msg_loss_probability = 0.02;
-  for (auto _ : state) {
-    spec.seed += 1;  // defeat any caching while staying deterministic in shape
-    benchmark::DoNotOptimize(ev::fleet::run_fleet(spec, 1));
-  }
-}
-BENCHMARK(bm_fleet_run)->Unit(benchmark::kMillisecond);
-
-void bm_retry_pump(benchmark::State& state) {
-  // The per-tick cost of pumping a loaded retry queue that never delivers.
-  ev::fleet::RetryPolicy policy;
-  policy.max_attempts = 1000000;
-  ev::util::Rng rng(9);
-  ev::fleet::RetryQueue queue(policy);
-  ev::fleet::Message msg;
-  for (int i = 0; i < 64; ++i) queue.enqueue(msg, 0.0);
-  double now = 0.0;
-  for (auto _ : state) {
-    now += 1.0;
-    queue.pump(now, rng, [](const ev::fleet::Message&) { return false; },
-               [](const ev::fleet::Message&) {});
-    benchmark::DoNotOptimize(queue.pending());
-  }
-}
-BENCHMARK(bm_retry_pump)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e22_fleet_charging", argc, argv);
+  return evbench::finish("e22_fleet_charging");
 }

@@ -10,12 +10,8 @@
 // cleanly AND, when actually simulated, every observed maximum must respect
 // the synthesized design's static bounds (the E19 invariant, now applied to
 // machine-generated architectures). Any violation fails the binary.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,21 +51,6 @@ ScenarioSpec nominal_spec() {
   spec.subsystems.health = true;
   spec.subsystems.security = true;
   return spec;
-}
-
-double wall_seconds(const std::function<void()>& body) {
-  const auto start = std::chrono::steady_clock::now();
-  body();
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
-}
-
-/// Best of three — wall-time gauges feed the perf gate, so damp scheduler
-/// noise the same way the E21 hot-path bench does.
-double best_wall_seconds(const std::function<void()>& body) {
-  double best = wall_seconds(body);
-  for (int i = 0; i < 2; ++i) best = std::min(best, wall_seconds(body));
-  return best;
 }
 
 /// Source-frame index by Fig. 1 base id.
@@ -142,25 +123,25 @@ FitnessComparison compare_fitness_paths() {
   }
 
   // Incremental: one persistent evaluator, dirty-closure re-evaluation.
-  result.incremental_s = best_wall_seconds([&spec, moves, &result] {
+  result.incremental_s = evbench::best_of3_wall_seconds([&spec, moves, &result] {
     FitnessEvaluator evaluator(ev::analysis::extract_model(spec));
     evaluator.evaluate();
     const std::uint64_t settled = evaluator.bus_pass_evals();
     for (int step = 0; step < moves; ++step) {
       apply_tape_move(evaluator, step);
-      benchmark::DoNotOptimize(evaluator.evaluate());
+      evbench::keep(evaluator.evaluate());
     }
     result.incremental_passes = evaluator.bus_pass_evals() - settled;
   });
 
   // Full: same tape, but every move pays what `evsys check` pays — a
   // from-scratch analyze() with nothing memoized, strings rendered and all.
-  result.full_s = best_wall_seconds([&spec, moves, &result] {
+  result.full_s = evbench::best_of3_wall_seconds([&spec, moves, &result] {
     FitnessEvaluator mutator(ev::analysis::extract_model(spec));
     mutator.evaluate();
     for (int step = 0; step < moves; ++step) {
       apply_tape_move(mutator, step);
-      benchmark::DoNotOptimize(ev::analysis::analyze(mutator.model()));
+      evbench::keep(ev::analysis::analyze(mutator.model()));
     }
     result.full_passes = static_cast<std::uint64_t>(moves) *
                          mutator.model().buses.size() * 3;
@@ -260,12 +241,11 @@ int run_experiment() {
   violations += check_failures + bound_violations;
 
   // One representative end-to-end synthesis for the perf gate.
-  const double synthesis_s = best_wall_seconds([] {
+  const double synthesis_s = evbench::best_of3_wall_seconds([] {
     ev::synthesis::SynthesisOptions options;
     options.seed = 1;
     options.iters = 15;
-    benchmark::DoNotOptimize(
-        ev::synthesis::synthesize(overloaded_spec(), options));
+    evbench::keep(ev::synthesis::synthesize(overloaded_spec(), options));
   });
 
   evbench::set_gauge("e23.fitness.incremental_wall_s", fitness.incremental_s);
@@ -289,32 +269,10 @@ int run_experiment() {
   return violations;
 }
 
-void bm_incremental_move_eval(benchmark::State& state) {
-  FitnessEvaluator evaluator(ev::analysis::extract_model(nominal_spec()));
-  evaluator.evaluate();
-  int step = 0;
-  for (auto _ : state) {
-    apply_tape_move(evaluator, step++);
-    benchmark::DoNotOptimize(evaluator.evaluate());
-  }
-}
-BENCHMARK(bm_incremental_move_eval)->Unit(benchmark::kMicrosecond);
-
-void bm_full_reanalysis_per_move(benchmark::State& state) {
-  FitnessEvaluator evaluator(ev::analysis::extract_model(nominal_spec()));
-  evaluator.evaluate();
-  int step = 0;
-  for (auto _ : state) {
-    apply_tape_move(evaluator, step++);
-    benchmark::DoNotOptimize(ev::analysis::analyze(evaluator.model()));
-  }
-}
-BENCHMARK(bm_full_reanalysis_per_move)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const int violations = run_experiment();
-  const int rc = evbench::finish("e23_synthesis", argc, argv);
+  const int rc = evbench::finish("e23_synthesis");
   return violations > 0 ? 1 : rc;
 }

@@ -12,13 +12,9 @@
 // CanErrorModel destroys transmissions, and every delivery later than one
 // period counts as a miss. Any frequency above bound + tolerance is a
 // soundness violation and fails the binary.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,7 +23,6 @@
 #include "ev/analysis/oracle.h"
 #include "ev/analysis/prob.h"
 #include "ev/config/scenario.h"
-#include "ev/network/can.h"
 #include "ev/util/table.h"
 #include "harness.h"
 
@@ -79,13 +74,6 @@ struct CrossCheck {
   std::size_t missed = 0;
 };
 
-double wall_seconds(const std::function<void()>& body) {
-  const auto start = std::chrono::steady_clock::now();
-  body();
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
-}
-
 /// Writes the deterministic cross-validation record (analytic bounds and
 /// campaign tallies — no wall times) to E24_crossval.json next to the bench
 /// metric snapshots. CI byte-compares this file between --jobs values.
@@ -128,12 +116,8 @@ int run_experiment() {
   const VehicleModel model = ev::analysis::extract_model(spec);
 
   ev::analysis::ProbabilisticCanAnalyzer analyzer(model);
-  double analysis_wall_s = wall_seconds(
+  const double analysis_wall_s = evbench::best_of3_wall_seconds(
       [&spec] { (void)ev::analysis::analyze_probabilistic_scenario(spec); });
-  for (int i = 0; i < 2; ++i)
-    analysis_wall_s = std::min(analysis_wall_s, wall_seconds([&spec] {
-      (void)ev::analysis::analyze_probabilistic_scenario(spec);
-    }));
 
   // Analytic side: the per-frame miss bounds of every armed CAN bus.
   const std::vector<std::size_t> armed_buses = ev::analysis::armed_can_buses(analyzer);
@@ -150,7 +134,7 @@ int run_experiment() {
   // seed, on the shared worker pool. Workers are pure; the fold accumulates
   // in seed order, so the tallies (and the exported cross-validation JSON)
   // are byte-identical for any EVSYS_BENCH_JOBS value.
-  const double campaign_wall_s = wall_seconds([&] {
+  const double campaign_wall_s = evbench::wall_seconds([&] {
     evbench::run_seeded_campaign(
         kFirstSeed, 1, kSeeds, evbench::default_jobs(),
         [&](std::uint64_t seed, int) {
@@ -224,40 +208,10 @@ int run_experiment() {
   return violations + lost;
 }
 
-void bm_analyze_probabilistic(benchmark::State& state) {
-  const ScenarioSpec spec = scenario();
-  const VehicleModel model = ev::analysis::extract_model(spec);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ev::analysis::analyze_probabilistic(model));
-}
-BENCHMARK(bm_analyze_probabilistic)->Unit(benchmark::kMicrosecond);
-
-void bm_combined_tail(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ev::analysis::combined_tail_above(3.2, 48, 0.02, 12));
-}
-BENCHMARK(bm_combined_tail)->Unit(benchmark::kNanosecond);
-
-void bm_error_ladder(benchmark::State& state) {
-  const ScenarioSpec spec = scenario();
-  const VehicleModel model = ev::analysis::extract_model(spec);
-  std::vector<ev::network::CanMessageSpec> messages;
-  for (const ev::analysis::FrameModel& frame : model.frames)
-    if (model.buses[frame.bus].scenario_name == "safety_can" &&
-        frame.payload_bytes <= 8)
-      messages.push_back({frame.id, frame.payload_bytes, frame.period_s, 0.0});
-  const double overhead_s = 31.0 / kBitRateBps + 135.0 / kBitRateBps;
-  for (auto _ : state)
-    for (int k = 0; k <= 16; ++k)
-      benchmark::DoNotOptimize(
-          ev::network::can_response_times(messages, kBitRateBps, overhead_s, k));
-}
-BENCHMARK(bm_error_ladder)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const int failures = run_experiment();
-  const int rc = evbench::finish("e24_prob_timing", argc, argv);
+  const int rc = evbench::finish("e24_prob_timing");
   return failures > 0 ? 1 : rc;
 }

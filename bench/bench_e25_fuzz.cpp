@@ -8,14 +8,9 @@
 // The gauges pin the verdict mix so a generator regression that silently
 // stops reaching faults, arch overrides, or simulation shows up in the
 // perf gate, and the wall-time gauges feed the usual throughput gate.
-#include <benchmark/benchmark.h>
-
-#include <chrono>
 #include <cstdio>
-#include <functional>
 #include <string>
 
-#include "ev/config/scenario.h"
 #include "ev/fuzz/fuzz.h"
 #include "ev/util/table.h"
 #include "harness.h"
@@ -24,13 +19,6 @@ namespace {
 
 constexpr std::uint64_t kSeed = 1;
 constexpr int kCount = 100;
-
-double wall_seconds(const std::function<void()>& body) {
-  const auto start = std::chrono::steady_clock::now();
-  body();
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
-}
 
 int run_experiment() {
   std::puts("E25 — seeded scenario fuzzing: differential testing of the "
@@ -43,7 +31,7 @@ int run_experiment() {
 
   ev::fuzz::FuzzResult result;
   const double fuzz_wall_s =
-      wall_seconds([&] { result = ev::fuzz::run_fuzz(options); });
+      evbench::wall_seconds([&] { result = ev::fuzz::run_fuzz(options); });
 
   int rejected = 0;
   int simulated = 0;
@@ -114,27 +102,10 @@ int run_experiment() {
   return violations;
 }
 
-void bm_generate_scenario(benchmark::State& state) {
-  const ev::fuzz::ScenarioGenerator gen(kSeed);
-  int index = 0;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(gen.scenario(index++ % kCount));
-}
-BENCHMARK(bm_generate_scenario)->Unit(benchmark::kMicrosecond);
-
-void bm_round_trip(benchmark::State& state) {
-  const ev::fuzz::ScenarioGenerator gen(kSeed);
-  const ev::config::ScenarioSpec spec = gen.scenario(0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        ev::config::ScenarioSpec::from_text(spec.to_text()));
-}
-BENCHMARK(bm_round_trip)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const int violations = run_experiment();
-  const int rc = evbench::finish("e25_fuzz", argc, argv);
+  const int rc = evbench::finish("e25_fuzz");
   return violations > 0 ? 1 : rc;
 }

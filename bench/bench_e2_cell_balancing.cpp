@@ -4,8 +4,6 @@
 // the driving-range consequence — the paper's claim that active balancing
 // "avoids the waste of energy, increasing the driving range as well as the
 // lifetime of the battery".
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "ev/bms/battery_manager.h"
@@ -110,23 +108,9 @@ void run_experiment() {
             "full imbalance in bleed resistors.\n");
 }
 
-void bm_bms_step(benchmark::State& state) {
-  ev::util::Rng rng(9);
-  PackConfig pc;
-  Pack pack(pc, rng);
-  BmsConfig bc;
-  bc.balancing = BalancingKind::kActive;
-  BatteryManager bms(pack, bc);
-  for (auto _ : state) {
-    (void)pack.step(50.0, 0.1);
-    benchmark::DoNotOptimize(bms.step(pack, 0.1, rng));
-  }
-}
-BENCHMARK(bm_bms_step)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e2_cell_balancing", argc, argv);
+  return evbench::finish("e2_cell_balancing");
 }

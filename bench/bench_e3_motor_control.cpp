@@ -3,8 +3,6 @@
 // line voltages phase-shifted by 2*pi/3), then quantifies the open-IGBT
 // fault story: waveform distortion, detection latency, and post-fault
 // recovery with the four-switch reconfiguration.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 
@@ -114,26 +112,9 @@ void run_experiment() {
             "dc-link utilization.\n");
 }
 
-void bm_drive_period(benchmark::State& state) {
-  MotorDrive drive;
-  for (int k = 0; k < 1000; ++k) drive.step(100.0, 10.0);
-  for (auto _ : state) drive.step(100.0, 10.0);
-}
-BENCHMARK(bm_drive_period)->Unit(benchmark::kMicrosecond);
-
-void bm_svm_modulate(benchmark::State& state) {
-  double theta = 0.0;
-  for (auto _ : state) {
-    theta += 0.01;
-    const AlphaBeta v{200.0 * std::cos(theta), 200.0 * std::sin(theta)};
-    benchmark::DoNotOptimize(SvmModulator::modulate(v, 400.0));
-  }
-}
-BENCHMARK(bm_svm_modulate);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e3_motor_control", argc, argv);
+  return evbench::finish("e3_motor_control");
 }

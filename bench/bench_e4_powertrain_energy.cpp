@@ -2,8 +2,6 @@
 // "Drive-by-wire"): energy flows of the full electric powertrain across
 // drive cycles, and the range impact of regenerative braking — the paper's
 // claim that recuperation "is essential to extend the driving range".
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "ev/powertrain/drive_cycle.h"
@@ -85,24 +83,9 @@ void run_experiment() {
               r.aux_energy_wh, sim.config().aux_power_w);
 }
 
-void bm_powertrain_step(benchmark::State& state) {
-  PowertrainSimulation sim(make_config(true));
-  for (auto _ : state) benchmark::DoNotOptimize(sim.step(15.0));
-}
-BENCHMARK(bm_powertrain_step)->Unit(benchmark::kMicrosecond);
-
-void bm_urban_cycle(benchmark::State& state) {
-  const DriveCycle cycle = DriveCycle::urban();
-  for (auto _ : state) {
-    PowertrainSimulation sim(make_config(true));
-    benchmark::DoNotOptimize(sim.run_cycle(cycle));
-  }
-}
-BENCHMARK(bm_urban_cycle)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e4_powertrain_energy", argc, argv);
+  return evbench::finish("e4_powertrain_energy");
 }

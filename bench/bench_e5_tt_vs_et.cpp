@@ -4,8 +4,6 @@
 // arbitration, (b) FlexRay static slots with schedule-synchronized senders,
 // and (c) time-triggered Ethernet (time-aware gates). Latency mean/max and
 // jitter are compared while background load rises.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -183,14 +181,9 @@ void run_experiment() {
             "jitter regardless of background traffic.\n");
 }
 
-void bm_can_simulation(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_can(8));
-}
-BENCHMARK(bm_can_simulation)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e5_tt_vs_et", argc, argv);
+  return evbench::finish("e5_tt_vs_et");
 }

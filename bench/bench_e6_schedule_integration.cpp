@@ -3,8 +3,6 @@
 // against modular schedule integration (independent local schedules + one
 // shift per subsystem) as the number of subsystems grows — search effort,
 // wall-clock time, and schedulability.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 
@@ -98,24 +96,9 @@ void run_experiment() {
             "paper's argument for integration-phase scheduling ([18]).\n");
 }
 
-void bm_monolithic(benchmark::State& state) {
-  const auto subs = make_subsystems(static_cast<int>(state.range(0)), 5);
-  const System sys = flatten(subs);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(MonolithicSynthesizer().synthesize(sys));
-}
-BENCHMARK(bm_monolithic)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
-
-void bm_modular(benchmark::State& state) {
-  const auto subs = make_subsystems(static_cast<int>(state.range(0)), 5);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ScheduleIntegrator().integrate(subs));
-}
-BENCHMARK(bm_modular)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e6_schedule_integration", argc, argv);
+  return evbench::finish("e6_schedule_integration");
 }

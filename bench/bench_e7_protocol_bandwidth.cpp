@@ -4,8 +4,6 @@
 // measures achievable goodput and queueing latency of CAN, FlexRay, and
 // switched Ethernet under saturating load, plus the protocol efficiency
 // (payload vs on-the-wire bits) per frame size.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "ev/network/can.h"
@@ -130,14 +128,9 @@ void run_experiment() {
             "overhead; small payloads are expensive on every protocol.\n");
 }
 
-void bm_ethernet_saturation(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(saturate_ethernet());
-}
-BENCHMARK(bm_ethernet_saturation)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e7_protocol_bandwidth", argc, argv);
+  return evbench::finish("e7_protocol_bandwidth");
 }

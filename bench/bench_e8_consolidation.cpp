@@ -3,8 +3,6 @@
 // count, wiring, hardware cost, utilization, and signal locality — the
 // quantitative case for the consolidation paradigm shift. Also sweeps the
 // system size to show how the gap grows as vehicles gain functions.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "ev/core/evaluation.h"
@@ -75,22 +73,9 @@ void run_experiment() {
             "substantially, at much higher (but bounded) per-ECU utilization.\n");
 }
 
-void bm_synthesize_integrated(benchmark::State& state) {
-  const FunctionNetwork net =
-      reference_function_network(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(synthesize_integrated(net));
-}
-BENCHMARK(bm_synthesize_integrated)->Arg(1)->Arg(8);
-
-void bm_evaluate(benchmark::State& state) {
-  const Architecture arch = synthesize_federated(reference_function_network(4));
-  for (auto _ : state) benchmark::DoNotOptimize(evaluate(arch));
-}
-BENCHMARK(bm_evaluate);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e8_consolidation", argc, argv);
+  return evbench::finish("e8_consolidation");
 }

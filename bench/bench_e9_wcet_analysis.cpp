@@ -5,8 +5,6 @@
 //  (b) replacement-policy predictability: LRU vs FIFO vs PLRU bounds;
 //  (c) scratchpad memory: exact WCET (full predictability) vs cache
 //      average performance.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 
@@ -112,24 +110,9 @@ void run_experiment() {
             "a warm cache.\n");
 }
 
-void bm_must_analysis(benchmark::State& state) {
-  const Program p = make_program(static_cast<std::size_t>(state.range(0)), 5);
-  const CacheConfig cfg = {8, 2, 64, 1, 20, Replacement::kLru};
-  for (auto _ : state) benchmark::DoNotOptimize(must_analysis(p, cfg));
-}
-BENCHMARK(bm_must_analysis)->Arg(8)->Arg(32);
-
-void bm_collecting_analysis(benchmark::State& state) {
-  const Program p = make_program(static_cast<std::size_t>(state.range(0)), 5);
-  const CacheConfig cfg = {8, 2, 64, 1, 20, Replacement::kLru};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(collecting_analysis(p, cfg, 1 << 18));
-}
-BENCHMARK(bm_collecting_analysis)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_experiment();
-  return evbench::finish("e9_wcet_analysis", argc, argv);
+  return evbench::finish("e9_wcet_analysis");
 }

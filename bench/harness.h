@@ -1,17 +1,18 @@
 /// \file harness.h
 /// Shared scaffolding for the experiment binaries. Each binary prints its
-/// experiment tables, exports the observability snapshot accumulated while
+/// experiment tables and exports the observability snapshot accumulated while
 /// doing so (BENCH_<experiment>.json — event counts, histograms,
-/// subsystem gauges; plus a Chrome-trace file when spans were recorded), and
-/// then runs its registered google-benchmark microbenchmarks with a short
-/// default measuring time (override with the usual --benchmark_* flags).
+/// subsystem gauges; plus a Chrome-trace file when spans were recorded).
+/// Wall-time gauges (`*_wall_s`) are timed with wall_seconds() and feed
+/// scripts/perfgate.py.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -28,24 +29,28 @@
 
 namespace evbench {
 
-/// Initializes and runs google-benchmark. When the caller passed no
-/// benchmark flags, a short --benchmark_min_time keeps the full harness
-/// sweep fast.
-inline int run_registered_benchmarks(int argc, char** argv) {
-  std::vector<std::string> stored(argv, argv + argc);
-  bool has_min_time = false;
-  for (const std::string& s : stored)
-    if (s.rfind("--benchmark_min_time", 0) == 0) has_min_time = true;
-  if (!has_min_time) stored.push_back("--benchmark_min_time=0.05");
+/// Wall-clock seconds (steady_clock) one call of \p body takes.
+inline double wall_seconds(const std::function<void()>& body) {
+  const auto start = std::chrono::steady_clock::now();
+  body();
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(stop - start).count();
+}
 
-  std::vector<char*> args;
-  args.reserve(stored.size());
-  for (auto& s : stored) args.push_back(s.data());
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+/// Best of three: the gauges feed a wall-time regression gate, so shave off
+/// scheduler noise instead of averaging it in.
+inline double best_of3_wall_seconds(const std::function<void()>& body) {
+  double best = wall_seconds(body);
+  for (int i = 0; i < 2; ++i) best = std::min(best, wall_seconds(body));
+  return best;
+}
+
+/// Keeps the compiler from discarding a timed loop whose result nothing
+/// else reads: \p value escapes into an empty asm statement that may read
+/// any memory.
+template <typename T>
+inline void keep(const T& value) {
+  asm volatile("" : : "g"(&value) : "memory");
 }
 
 /// The binary's metric registry. Everything recorded here before finish()
@@ -139,11 +144,10 @@ inline bool export_metrics(const std::string& experiment) {
 }
 
 /// Standard experiment epilogue: export the observability snapshot captured
-/// by run_experiment(), then run the microbenchmarks. Exporting first keeps
-/// the snapshot deterministic — benchmark iteration counts never feed it.
-inline int finish(const std::string& experiment, int argc, char** argv) {
+/// by run_experiment(). Returns 0 (a failed export warns on stderr only).
+inline int finish(const std::string& experiment) {
   export_metrics(experiment);
-  return run_registered_benchmarks(argc, argv);
+  return 0;
 }
 
 }  // namespace evbench

@@ -118,13 +118,13 @@ def gate_baseline(baselines: list[Path], candidates: list[Path], threshold: floa
 
 
 def run_bench(binary: Path, out_dir: Path, snapshot: str) -> dict[str, float]:
-    """Runs one bench binary's experiment phase (no microbenchmarks) with its
-    snapshot directed into \\p out_dir and returns the snapshot's wall gauges."""
+    """Runs one bench binary with its snapshot directed into \\p out_dir and
+    returns the snapshot's wall gauges."""
     out_dir.mkdir(parents=True)
     env = dict(os.environ, EVSYS_BENCH_METRICS_DIR=str(out_dir))
-    result = subprocess.run([str(binary.resolve()), "--benchmark_filter=none"], cwd=out_dir,
-                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                            text=True, check=False)
+    result = subprocess.run([str(binary.resolve())], cwd=out_dir, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            check=False)
     if result.returncode != 0 or not (out_dir / snapshot).is_file():
         print(result.stderr, end="", file=sys.stderr)
         print(f"perfgate: {binary} exited {result.returncode} without writing {snapshot}",

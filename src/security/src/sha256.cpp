@@ -68,6 +68,8 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {
+  // An empty span may carry a null data(), which memcpy must never see.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {

@@ -24,11 +24,6 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
   return a + (b - a) * t;
 }
 
-/// Returns -1, 0, or +1 according to the sign of \p x.
-[[nodiscard]] constexpr int sign(double x) noexcept {
-  return (x > 0.0) - (x < 0.0);
-}
-
 /// Wraps an angle in radians into [0, 2*pi).
 [[nodiscard]] inline double wrap_angle(double theta) noexcept {
   double t = std::fmod(theta, kTwoPi);

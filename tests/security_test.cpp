@@ -70,6 +70,17 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   EXPECT_EQ(hex_of(h.finish()), hex_of(Sha256::hash(msg)));
 }
 
+// An empty span (null data()) between two chunks of one block must change
+// nothing; it used to reach memcpy with a null source.
+TEST(Sha256, EmptyUpdateInsidePartialBlock) {
+  const auto msg = bytes_of("the quick brown fox jumps over the lazy dog");
+  Sha256 h;
+  h.update(std::span<const std::uint8_t>(msg.data(), 3));
+  h.update({});
+  h.update(std::span<const std::uint8_t>(msg.data() + 3, msg.size() - 3));
+  EXPECT_EQ(hex_of(h.finish()), hex_of(Sha256::hash(msg)));
+}
+
 // Digests at the padding boundaries: 55 bytes is the longest message whose
 // 0x80 and length fit its last block, 56..63 spill the length into an extra
 // block, 64/119/120 repeat that one block later. Expected values from

@@ -33,12 +33,6 @@ TEST(Math, LerpEndpointsAndMidpoint) {
   EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 0.5), 3.0);
 }
 
-TEST(Math, SignFunction) {
-  EXPECT_EQ(sign(3.2), 1);
-  EXPECT_EQ(sign(-0.1), -1);
-  EXPECT_EQ(sign(0.0), 0);
-}
-
 TEST(Math, WrapAngleIntoRange) {
   EXPECT_NEAR(wrap_angle(3.0 * kTwoPi + 0.5), 0.5, 1e-12);
   EXPECT_NEAR(wrap_angle(-0.5), kTwoPi - 0.5, 1e-12);
