@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "ev/network/can.h"
 #include "ev/network/ethernet.h"
@@ -52,20 +53,22 @@ LatencyResult run_can(int background_senders, bool observed = false) {
   });
   // Background traffic with release jitter (event-triggered senders are not
   // phase-locked in a real vehicle), half higher and half lower priority
-  // than the monitored message.
+  // than the monitored message. Each sender reschedules a copy of itself;
+  // the vector owns the originals and outlives the run.
+  std::vector<std::function<void()>> senders(static_cast<std::size_t>(background_senders));
   for (int k = 0; k < background_senders; ++k) {
     const std::uint32_t id = (k % 2 == 0) ? 0x10 + static_cast<std::uint32_t>(k)
                                           : 0x100 + static_cast<std::uint32_t>(k);
-    auto send_next = std::make_shared<std::function<void()>>();
-    *send_next = [&sim, &bus, rng, id, send_next] {
+    std::function<void()>& send_next = senders[static_cast<std::size_t>(k)];
+    send_next = [&sim, &bus, rng, id, &send_next] {
       Frame f;
       f.id = id;
       f.payload_size = 8;
       (void)bus.send(f);
       const double next_s = 5e-3 * rng->uniform(0.6, 1.4);
-      sim.schedule_in(Time::seconds(next_s), *send_next);
+      sim.schedule_in(Time::seconds(next_s), send_next);
     };
-    sim.schedule_in(Time::us(rng->uniform_int(0, 5000)), *send_next);
+    sim.schedule_in(Time::us(rng->uniform_int(0, 5000)), send_next);
   }
   sim.run_until(Time::s(20));
   if (observed) evbench::count_kernel(sim);

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ev/analysis/diagnostics.h"
@@ -93,6 +94,27 @@ struct ProbOutcome {
   friend bool operator==(const ProbOutcome&, const ProbOutcome&) = default;
 };
 
+/// Working storage of the CAN passes: the RTA scratch, the message set of
+/// one bus with its id index, and the probabilistic ladder's per-message
+/// arrays. The evaluator that runs the passes owns one, so a pass repeated
+/// thousands of times stops allocating once the buffers have grown. It
+/// holds nothing from one pass to the next, which is why copying or
+/// assigning an evaluator gives the copy empty buffers of its own instead
+/// of copying these.
+struct BusPassScratch {
+  network::CanRtaScratch rta;
+  std::vector<network::CanMessageSpec> specs;
+  std::vector<std::size_t> spec_frame;  ///< Frame of each message in specs.
+  std::vector<std::pair<std::uint32_t, std::size_t>> by_id;  ///< (id, message), sorted.
+  std::vector<int> kmax;
+  std::vector<double> r_kmax;
+  std::vector<double> r_zero;
+
+  BusPassScratch() = default;
+  BusPassScratch(const BusPassScratch& /*other*/) noexcept {}
+  BusPassScratch& operator=(const BusPassScratch& /*other*/) noexcept { return *this; }
+};
+
 /// The scalarized design quality the synthesizer optimizes. feasible() is
 /// exactly `evsys check` exit code 0 (no errors, no warnings).
 struct Fitness {
@@ -118,9 +140,10 @@ struct Fitness {
 /// exactly what re-extracting a spec with the corresponding arch override
 /// would produce, and mark the touched entities dirty; evaluate() then
 /// recomputes only those (full fixed-point semantics preserved by dirtying
-/// the routed-frame downstream closure). Copyable: the synthesizer scores a
-/// candidate by copy-assigning the master into a reused trial evaluator,
-/// applying one move, and evaluating.
+/// the routed-frame downstream closure). The synthesizer scores a candidate
+/// on the master evaluator itself: begin_trial(), one move, evaluate(),
+/// end_trial() puts the master back, and the round's winner is adopted
+/// without evaluating it again (adopt_kept()).
 class FitnessEvaluator {
  public:
   explicit FitnessEvaluator(VehicleModel model);
@@ -145,6 +168,24 @@ class FitnessEvaluator {
   /// Recomputes everything dirty and returns the aggregated fitness.
   const Fitness& evaluate();
 
+  // --- scoring a candidate in place ----------------------------------------
+  /// Opens a trial: the moves and evaluate() calls that follow work as
+  /// usual, and end_trial() takes them back. Trials do not nest, and only
+  /// moves and evaluate() may run inside one. Throws std::logic_error when a
+  /// trial is already open.
+  void begin_trial();
+  /// Closes the trial. The model and every memoized outcome, the pass
+  /// counter included, are again as they were at begin_trial(). With
+  /// \p keep, the trial's memoized outcomes are set aside for adopt_kept(),
+  /// replacing any kept before.
+  void end_trial(bool keep);
+  /// Call after re-applying, outside a trial, the same moves the kept trial
+  /// made: the evaluator takes the kept outcomes instead of evaluating
+  /// again, so it ends exactly as the trial did, pass counter included.
+  /// With set_cross_check on, the adopted state is checked against a
+  /// from-scratch evaluation.
+  void adopt_kept();
+
   /// Renders the full report from the memoized outcomes — byte-identical to
   /// analyze() of the current model. Implies evaluate().
   [[nodiscard]] Report report();
@@ -163,7 +204,7 @@ class FitnessEvaluator {
   /// Memoized probabilistic outcome of one bus as of the last evaluate().
   /// Only meaningful after set_probabilistic(true).
   [[nodiscard]] const ProbOutcome& prob_outcome(std::size_t bus) const {
-    return prob_outcomes_[bus];
+    return memo_.prob_outcomes[bus];
   }
   /// Per-bus error models the probabilistic pass evaluates against (empty
   /// unless set_probabilistic(true)).
@@ -175,46 +216,81 @@ class FitnessEvaluator {
   /// Number of single-bus numeric passes executed so far (3 per dirty bus
   /// per evaluation) — the effort figure bench E23 compares against the
   /// full-recompute floor.
-  [[nodiscard]] std::uint64_t bus_pass_evals() const noexcept { return bus_pass_evals_; }
+  [[nodiscard]] std::uint64_t bus_pass_evals() const noexcept {
+    return memo_.bus_pass_evals;
+  }
 
   /// Frame indices on each bus, maintained across moves (readout for
   /// synthesis heuristics).
   [[nodiscard]] const std::vector<std::size_t>& frames_on_bus(std::size_t bus) const {
-    return per_bus_[bus];
+    return memo_.per_bus[bus];
   }
   /// Settled per-frame bounds of the last evaluate().
   [[nodiscard]] const std::vector<FrameBound>& frame_bounds() const noexcept {
-    return bounds_;
+    return memo_.bounds;
   }
   /// Memoized numeric outcome of one bus as of the last evaluate().
   [[nodiscard]] const BusOutcome& bus_outcome(std::size_t bus) const {
-    return bus_outcomes_[bus];
+    return memo_.bus_outcomes[bus];
   }
   /// Memoized ECU outcome as of the last evaluate().
-  [[nodiscard]] const EcuOutcome& ecu_outcome() const noexcept { return ecu_; }
+  [[nodiscard]] const EcuOutcome& ecu_outcome() const noexcept { return memo_.ecu; }
 
  private:
+  /// Everything besides the model that a move or evaluate() changes: what a
+  /// trial saves, restores and keeps.
+  struct Memo {
+    std::vector<std::vector<std::size_t>> per_bus;
+    std::vector<FrameBound> bounds;
+    std::vector<BusOutcome> bus_outcomes;
+    std::vector<ProbOutcome> prob_outcomes;
+    EcuOutcome ecu;
+    std::vector<Diagnostic> wiring;
+    Fitness fitness;
+    std::vector<char> bus_dirty;
+    bool ecu_dirty = true;
+    bool wiring_dirty = true;
+    bool any_dirty = true;
+    std::uint64_t bus_pass_evals = 0;
+  };
+  /// The model fields the open trial overwrote, with their values from
+  /// before. Frame, route and bit-rate edits are undone newest first; the
+  /// slot maps and the partition list are saved whole on their first edit.
+  struct Journal {
+    struct FrameEdit {
+      std::size_t frame = 0;
+      std::size_t bus = 0;
+      std::uint32_t id = 0;
+      bool id_mutable = false;
+    };
+    std::vector<FrameEdit> frames;
+    std::vector<std::pair<std::size_t, RouteModel>> routes;
+    std::vector<std::pair<std::size_t, double>> bit_rates;
+    std::vector<std::map<std::uint32_t, std::size_t>> fr_slots;  ///< Per bus.
+    std::vector<char> fr_slots_saved;                            ///< Per bus.
+    std::vector<core::PartitionModel> partitions;
+    bool partitions_saved = false;
+  };
+
   void mark_bus_dirty(std::size_t bus);
+  void journal_frame(std::size_t frame);
   void recompute();
   void aggregate();
   void check_against_fresh();
 
   VehicleModel model_;
-  std::vector<std::vector<std::size_t>> per_bus_;
-  std::vector<FrameBound> bounds_;
-  std::vector<BusOutcome> bus_outcomes_;
-  std::vector<ProbOutcome> prob_outcomes_;
+  Memo memo_;
   std::vector<network::CanErrorModel> error_models_;
-  EcuOutcome ecu_;
-  std::vector<Diagnostic> wiring_;
-  Fitness fitness_;
-  std::vector<char> bus_dirty_;
-  bool ecu_dirty_ = true;
-  bool wiring_dirty_ = true;
-  bool any_dirty_ = true;
   bool cross_check_ = false;
   bool prob_enabled_ = false;
-  std::uint64_t bus_pass_evals_ = 0;
+  BusPassScratch scratch_;
+  // Trial state: open flag, the journal, the memo as of begin_trial(), and
+  // the memo a closed trial set aside for adopt_kept().
+  bool trial_open_ = false;
+  bool has_kept_ = false;
+  Journal journal_;
+  Memo saved_;
+  Memo kept_;
 };
 
 }  // namespace ev::analysis

@@ -34,15 +34,20 @@ std::size_t Report::count(Severity severity) const noexcept {
 
 bool Report::has_errors() const noexcept { return count(Severity::kError) > 0; }
 
-void Report::sort() {
-  std::sort(diagnostics.begin(), diagnostics.end(),
-            [](const Diagnostic& a, const Diagnostic& b) {
-              const auto ka = static_cast<std::uint8_t>(a.severity);
-              const auto kb = static_cast<std::uint8_t>(b.severity);
-              return std::tie(kb, a.rule_id, a.subject, a.message) <
-                     std::tie(ka, b.rule_id, b.subject, b.message);
-            });
+namespace {
+
+/// Report order: errors first, then warnings, then info; ties by rule id,
+/// subject, message.
+bool report_order(const Diagnostic& a, const Diagnostic& b) {
+  const auto ka = static_cast<std::uint8_t>(a.severity);
+  const auto kb = static_cast<std::uint8_t>(b.severity);
+  return std::tie(kb, a.rule_id, a.subject, a.message) <
+         std::tie(ka, b.rule_id, b.subject, b.message);
 }
+
+}  // namespace
+
+void Report::sort() { std::sort(diagnostics.begin(), diagnostics.end(), report_order); }
 
 const Diagnostic* Report::find(std::string_view rule_id,
                                std::string_view subject) const noexcept {
@@ -52,24 +57,34 @@ const Diagnostic* Report::find(std::string_view rule_id,
 }
 
 void write_report_json(const Report& report, std::ostream& out) {
-  Report sorted = report;
-  sorted.sort();
+  // The same std::sort with the same comparator over the same input order
+  // as Report::sort(), applied to pointers: the order is the one a sorted
+  // copy would have, without copying a string.
+  std::vector<const Diagnostic*> sorted;
+  sorted.reserve(report.diagnostics.size());
+  for (const Diagnostic& d : report.diagnostics) sorted.push_back(&d);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Diagnostic* a, const Diagnostic* b) { return report_order(*a, *b); });
   out << "{\n";
-  out << "  \"scenario\": \"" << util::json_escape(sorted.scenario) << "\",\n";
-  out << "  \"summary\": {\"errors\": " << sorted.count(Severity::kError)
-      << ", \"warnings\": " << sorted.count(Severity::kWarning)
-      << ", \"info\": " << sorted.count(Severity::kInfo) << "},\n";
+  out << "  \"scenario\": \"";
+  util::write_json_escaped(out, report.scenario);
+  out << "\",\n";
+  out << "  \"summary\": {\"errors\": " << report.count(Severity::kError)
+      << ", \"warnings\": " << report.count(Severity::kWarning)
+      << ", \"info\": " << report.count(Severity::kInfo) << "},\n";
   out << "  \"diagnostics\": [";
-  for (std::size_t i = 0; i < sorted.diagnostics.size(); ++i) {
-    const Diagnostic& d = sorted.diagnostics[i];
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    const Diagnostic& d = *sorted[i];
     out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"severity\": \"" << to_string(d.severity) << "\", \"rule\": \""
-        << util::json_escape(d.rule_id) << "\", \"subject\": \""
-        << util::json_escape(d.subject) << "\", \"message\": \""
-        << util::json_escape(d.message) << "\", \"bound\": "
-        << config::format_double(d.bound) << "}";
+    out << "    {\"severity\": \"" << to_string(d.severity) << "\", \"rule\": \"";
+    util::write_json_escaped(out, d.rule_id);
+    out << "\", \"subject\": \"";
+    util::write_json_escaped(out, d.subject);
+    out << "\", \"message\": \"";
+    util::write_json_escaped(out, d.message);
+    out << "\", \"bound\": " << config::format_double(d.bound) << "}";
   }
-  out << (sorted.diagnostics.empty() ? "]\n" : "\n  ]\n");
+  out << (sorted.empty() ? "]\n" : "\n  ]\n");
   out << "}\n";
 }
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <map>
 #include <string>
 
 #include "ev/analysis/prob.h"
@@ -38,13 +37,44 @@ double jitter_of(const VehicleModel& model, const FrameModel& frame,
 
 // --------------------------------------------------------------- per bus ----
 
+/// Fills scratch.specs with the CAN message set of one bus: every frame on
+/// it that fits a CAN payload, in on_bus order, with its release jitter.
+/// scratch.spec_frame names each message's frame, and scratch.by_id holds
+/// (wire id, message index) sorted, so that the i-th RTA result (ascending
+/// id) has the id of by_id[i].
+void collect_can_messages(const VehicleModel& model, const std::vector<std::size_t>& on_bus,
+                          const std::vector<FrameBound>& bounds, BusPassScratch& scratch) {
+  scratch.specs.clear();
+  scratch.spec_frame.clear();
+  scratch.by_id.clear();
+  for (const std::size_t f : on_bus) {
+    const FrameModel& frame = model.frames[f];
+    if (frame.payload_bytes > 8) continue;
+    network::CanMessageSpec spec;
+    spec.id = frame.id;
+    spec.payload_bytes = frame.payload_bytes;
+    spec.period_s = frame.period_s;
+    spec.jitter_s = jitter_of(model, frame, bounds);
+    scratch.by_id.emplace_back(frame.id, scratch.specs.size());
+    scratch.spec_frame.push_back(f);
+    scratch.specs.push_back(spec);
+  }
+  std::sort(scratch.by_id.begin(), scratch.by_id.end());
+}
+
+/// Message index the i-th RTA result belongs to: the first message with its
+/// id, so a repeated id writes every one of its results to the first frame
+/// that carries it.
+std::size_t message_of_result(const BusPassScratch& scratch, std::size_t i) {
+  while (i > 0 && scratch.by_id[i - 1].first == scratch.by_id[i].first) --i;
+  return scratch.by_id[i].second;
+}
+
 BusOutcome compute_can(const VehicleModel& model, std::size_t bus_idx,
                        const std::vector<std::size_t>& on_bus,
-                       std::vector<FrameBound>& bounds) {
+                       std::vector<FrameBound>& bounds, BusPassScratch& scratch) {
   const BusModel& bus = model.buses[bus_idx];
   BusOutcome out;
-  std::vector<network::CanMessageSpec> specs;
-  std::map<std::uint32_t, std::size_t> by_id;
   for (const std::size_t f : on_bus) {
     const FrameModel& frame = model.frames[f];
     if (frame.payload_bytes > 8) {
@@ -52,29 +82,24 @@ BusOutcome compute_can(const VehicleModel& model, std::size_t bus_idx,
                             static_cast<double>(frame.payload_bytes)});
       continue;
     }
-    network::CanMessageSpec spec;
-    spec.id = frame.id;
-    spec.payload_bytes = frame.payload_bytes;
-    spec.period_s = frame.period_s;
-    spec.jitter_s = jitter_of(model, frame, bounds);
     out.load += static_cast<double>(network::CanBus::frame_bits(frame.payload_bytes)) /
                 bus.bit_rate_bps / frame.period_s;
-    by_id.emplace(frame.id, f);
-    specs.push_back(spec);
   }
   out.overload_value = out.load;
   out.overloaded = out.load > 1.0;
-  for (const network::CanResponseTime& response :
-       network::can_response_times(specs, bus.bit_rate_bps)) {
-    const auto it = by_id.find(response.id);
-    if (it == by_id.end()) continue;
+  collect_can_messages(model, on_bus, bounds, scratch);
+  const std::vector<network::CanResponseTime>& responses =
+      network::can_response_times(scratch.specs, bus.bit_rate_bps, scratch.rta);
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    const network::CanResponseTime& response = responses[i];
+    const std::size_t f = scratch.spec_frame[message_of_result(scratch, i)];
     // The CAN bound already includes the release jitter, i.e. the upstream
     // leg for routed frames: it is the end-to-end figure directly.
-    bounds[it->second].e2e_s = response.worst_case_s;
-    bounds[it->second].valid = response.schedulable;
+    bounds[f].e2e_s = response.worst_case_s;
+    bounds[f].valid = response.schedulable;
     if (!response.schedulable)
-      out.issues.push_back({BusIssueKind::kCanUnschedulable, it->second,
-                            response.worst_case_s * kSecondsToUs});
+      out.issues.push_back(
+          {BusIssueKind::kCanUnschedulable, f, response.worst_case_s * kSecondsToUs});
   }
   return out;
 }
@@ -246,7 +271,8 @@ BusOutcome compute_most(const VehicleModel& model, std::size_t bus_idx,
 ProbOutcome compute_prob_bus(const VehicleModel& model, std::size_t bus_idx,
                              const std::vector<std::size_t>& on_bus,
                              const std::vector<FrameBound>& bounds,
-                             const network::CanErrorModel& error_model) {
+                             const network::CanErrorModel& error_model,
+                             BusPassScratch& scratch) {
   ProbOutcome out;
   out.model = error_model;
   const BusModel& bus = model.buses[bus_idx];
@@ -255,28 +281,17 @@ ProbOutcome compute_prob_bus(const VehicleModel& model, std::size_t bus_idx,
   const double tau_bit = 1.0 / bus.bit_rate_bps;
   // Same message set, order, and jitter as compute_can — the k = 0 rung of
   // the ladder is the deterministic analysis, bit for bit.
-  std::vector<network::CanMessageSpec> specs;
-  std::vector<std::size_t> spec_frame;
-  std::map<std::uint32_t, std::size_t> by_id;  // wire id -> spec index
+  collect_can_messages(model, on_bus, bounds, scratch);
+  const std::vector<network::CanMessageSpec>& specs = scratch.specs;
+  if (specs.empty()) return out;
   double max_tx_s = 0.0;
   double min_tx_s = std::numeric_limits<double>::infinity();
-  for (const std::size_t f : on_bus) {
-    const FrameModel& frame = model.frames[f];
-    if (frame.payload_bytes > 8) continue;  // carries can.payload_size already
-    network::CanMessageSpec spec;
-    spec.id = frame.id;
-    spec.payload_bytes = frame.payload_bytes;
-    spec.period_s = frame.period_s;
-    spec.jitter_s = jitter_of(model, frame, bounds);
+  for (const network::CanMessageSpec& spec : specs) {
     const double tx_s =
-        static_cast<double>(network::CanBus::frame_bits(frame.payload_bytes)) * tau_bit;
+        static_cast<double>(network::CanBus::frame_bits(spec.payload_bytes)) * tau_bit;
     max_tx_s = std::max(max_tx_s, tx_s);
     min_tx_s = std::min(min_tx_s, tx_s);
-    by_id.emplace(spec.id, specs.size());
-    spec_frame.push_back(f);
-    specs.push_back(spec);
   }
-  if (specs.empty()) return out;
 
   // Per-error recovery overhead: the 31-bit error flag plus the
   // retransmission of the longest frame on the bus (Broster's O).
@@ -287,14 +302,19 @@ ProbOutcome compute_prob_bus(const VehicleModel& model, std::size_t bus_idx,
   // k_max is the last rung it survives. The cap bounds the walk for frames
   // with huge slack — P(N > cap) still upper-bounds their miss probability.
   constexpr int kMaxTolerable = 64;
-  std::vector<int> kmax(specs.size(), -1);
-  std::vector<double> r_kmax(specs.size(), 0.0);
-  std::vector<double> r_zero(specs.size(), 0.0);
+  std::vector<int>& kmax = scratch.kmax;
+  std::vector<double>& r_kmax = scratch.r_kmax;
+  std::vector<double>& r_zero = scratch.r_zero;
+  kmax.assign(specs.size(), -1);
+  r_kmax.assign(specs.size(), 0.0);
+  r_zero.assign(specs.size(), 0.0);
   for (int k = 0; k <= kMaxTolerable; ++k) {
     bool any_alive = false;
-    for (const network::CanResponseTime& response :
-         network::can_response_times(specs, bus.bit_rate_bps, overhead_s, k)) {
-      const std::size_t s = by_id.find(response.id)->second;
+    const std::vector<network::CanResponseTime>& responses =
+        network::can_response_times(specs, bus.bit_rate_bps, overhead_s, k, scratch.rta);
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      const network::CanResponseTime& response = responses[i];
+      const std::size_t s = message_of_result(scratch, i);
       if (k == 0) r_zero[s] = response.worst_case_s;
       if (response.schedulable && kmax[s] == k - 1) {
         kmax[s] = k;
@@ -307,7 +327,7 @@ ProbOutcome compute_prob_bus(const VehicleModel& model, std::size_t bus_idx,
 
   for (std::size_t s = 0; s < specs.size(); ++s) {
     FrameMissBound fmb;
-    fmb.frame = spec_frame[s];
+    fmb.frame = scratch.spec_frame[s];
     fmb.tolerable_errors = kmax[s];
     if (kmax[s] < 0) {
       // Already unschedulable with zero errors: the deterministic pass
@@ -336,10 +356,10 @@ ProbOutcome compute_prob_bus(const VehicleModel& model, std::size_t bus_idx,
 
 BusOutcome compute_bus(const VehicleModel& model, std::size_t bus,
                        const std::vector<std::size_t>& on_bus,
-                       std::vector<FrameBound>& bounds) {
+                       std::vector<FrameBound>& bounds, BusPassScratch& scratch) {
   switch (model.buses[bus].protocol) {
     case Protocol::kLin: return compute_lin(model, bus, on_bus, bounds);
-    case Protocol::kCan: return compute_can(model, bus, on_bus, bounds);
+    case Protocol::kCan: return compute_can(model, bus, on_bus, bounds, scratch);
     case Protocol::kMost: return compute_most(model, bus, on_bus, bounds);
     case Protocol::kFlexRay: return compute_flexray(model, bus, on_bus, bounds);
   }

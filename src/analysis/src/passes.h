@@ -19,10 +19,12 @@ namespace ev::analysis::passes {
 /// One numeric pass over one bus: refreshes `bounds` for the frames on it
 /// and returns the load/issue outcome. Reads other frames' bounds for
 /// routed release jitter; call in bus-index order until the fixed point
-/// settles (three passes cover every Fig. 1 gateway chain).
+/// settles (three passes cover every Fig. 1 gateway chain). `scratch` is
+/// the caller's working storage for the CAN analysis.
 [[nodiscard]] BusOutcome compute_bus(const VehicleModel& model, std::size_t bus,
                                      const std::vector<std::size_t>& on_bus,
-                                     std::vector<FrameBound>& bounds);
+                                     std::vector<FrameBound>& bounds,
+                                     BusPassScratch& scratch);
 
 /// Probabilistic pass over one CAN bus (E24): walks the Broster R(k) ladder
 /// for every frame on the bus and turns the per-frame tolerable-error count
@@ -33,7 +35,8 @@ namespace ev::analysis::passes {
 [[nodiscard]] ProbOutcome compute_prob_bus(const VehicleModel& model, std::size_t bus,
                                            const std::vector<std::size_t>& on_bus,
                                            const std::vector<FrameBound>& bounds,
-                                           const network::CanErrorModel& error_model);
+                                           const network::CanErrorModel& error_model,
+                                           BusPassScratch& scratch);
 
 /// Numeric ECU pass: budgets, window RTA, per-partition demand.
 [[nodiscard]] EcuOutcome compute_ecu(const VehicleModel& model);

@@ -1,11 +1,13 @@
 /// \file grid_faults.h
 /// Deterministic grid-side fault timeline for the fleet charging backend.
 /// Where FaultPlan injects faults *into a running simulator*, the grid
-/// timeline is a pure function of time: the fleet simulation's tick loop
-/// queries it each tick for the surviving grid capacity, partitioned
-/// feeders, and stations whose control channel is blacked out. Keeping the
-/// timeline side-effect free is what lets stations advance in parallel
-/// between rebalance ticks — every worker reads the same immutable schedule.
+/// timeline is a pure function of time: the surviving grid capacity, the
+/// partitioned feeders, and the stations whose control channel is blacked
+/// out. It is piecewise constant between event boundaries, and
+/// changed_between() names the intervals that hold one. The fleet tick loop
+/// relies on that contract: it reads the grid state at tick 0 and again only
+/// when changed_between(previous tick, this tick) is true, and keeps what it
+/// read in between.
 #pragma once
 
 #include <cstddef>
@@ -34,9 +36,10 @@ struct GridFaultEvent {
   }
 };
 
-/// The immutable fault schedule of one fleet run. All queries are O(events)
-/// — schedules hold a handful of events, and the loop bodies branch on
-/// plain doubles, so the per-tick cost is negligible next to the stations.
+/// The immutable fault schedule of one fleet run. All queries are O(events).
+/// That is not negligible when asked for every station on every tick (it
+/// was about a third of a fleet run), which is why callers re-read the
+/// state only when changed_between() says it moved.
 class GridFaultTimeline {
  public:
   GridFaultTimeline() = default;
@@ -54,10 +57,11 @@ class GridFaultTimeline {
   /// feeder mapping, this timeline does not).
   [[nodiscard]] bool station_blacked_out(std::size_t station, double t) const noexcept;
 
-  /// True when capacity_scale or any partition/blackout membership can
-  /// differ between \p a and \p b — i.e. some event starts or ends inside
-  /// (a, b]. The central system uses this to trigger an off-cycle rebalance
-  /// the moment grid conditions change.
+  /// True when some event starts or ends inside (a, b]. When it is false,
+  /// capacity_scale, feeder_partitioned and station_blacked_out answer the
+  /// same at \p a and \p b (a <= b). The fleet loop uses it both to re-read
+  /// the grid state and to trigger an off-cycle rebalance the moment grid
+  /// conditions change.
   [[nodiscard]] bool changed_between(double a, double b) const noexcept;
 
   [[nodiscard]] const std::vector<GridFaultEvent>& events() const noexcept {

@@ -108,11 +108,28 @@ struct CanResponseTime {
                               ///< period diverges within one period).
 };
 
+/// Working storage of can_response_times, owned by the caller. A caller
+/// that runs the analysis many times (the analyzer's CAN pass, the
+/// probabilistic ladder, the synthesizer's priority assignment) keeps one
+/// and passes it to every call, so the buffers stop allocating once they
+/// have grown to the largest message set. Nothing carries over from one
+/// call to the next except capacity.
+struct CanRtaScratch {
+  std::vector<CanMessageSpec> sorted;  ///< The messages in ascending id order.
+  std::vector<double> tx;              ///< Transmission time per sorted message.
+  std::vector<double> block;           ///< Suffix max of tx: blocking per level.
+  std::vector<CanResponseTime> results;
+};
+
 /// Classic worst-case response-time analysis (Tindell; Davis et al. 2007
 /// revision): R_i = J_i + w_i + C_i with the blocking + higher-priority
 /// interference fixed point for w_i. \p bit_rate_bps must match the bus.
-[[nodiscard]] std::vector<CanResponseTime> can_response_times(
-    const std::vector<CanMessageSpec>& messages, double bit_rate_bps);
+/// Returns one result per message in ascending id order (std::sort on the
+/// input order, so equal ids keep no particular order), stored in
+/// \p scratch.results and valid until the next call with \p scratch.
+const std::vector<CanResponseTime>& can_response_times(
+    const std::vector<CanMessageSpec>& messages, double bit_rate_bps,
+    CanRtaScratch& scratch);
 
 /// Broster-style fault-aware variant: the busy period additionally absorbs
 /// \p errors error recoveries of \p error_overhead_s each (error flag plus
@@ -120,8 +137,8 @@ struct CanResponseTime {
 /// w = B_i + k*O + interference. With (0.0, 0) this is bit-identical to the
 /// error-free analysis above — the probabilistic pass degenerates to the
 /// deterministic bound by construction.
-[[nodiscard]] std::vector<CanResponseTime> can_response_times(
+const std::vector<CanResponseTime>& can_response_times(
     const std::vector<CanMessageSpec>& messages, double bit_rate_bps,
-    double error_overhead_s, int errors);
+    double error_overhead_s, int errors, CanRtaScratch& scratch);
 
 }  // namespace ev::network

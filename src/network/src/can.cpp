@@ -93,35 +93,39 @@ std::optional<sim::Time> CanBus::next_error_within(sim::Time tx) {
   return sim::Time::seconds(hit_s);
 }
 
-std::vector<CanResponseTime> can_response_times(const std::vector<CanMessageSpec>& messages,
-                                                double bit_rate_bps) {
-  return can_response_times(messages, bit_rate_bps, 0.0, 0);
+const std::vector<CanResponseTime>& can_response_times(
+    const std::vector<CanMessageSpec>& messages, double bit_rate_bps,
+    CanRtaScratch& scratch) {
+  return can_response_times(messages, bit_rate_bps, 0.0, 0, scratch);
 }
 
-std::vector<CanResponseTime> can_response_times(const std::vector<CanMessageSpec>& messages,
-                                                double bit_rate_bps,
-                                                double error_overhead_s, int errors) {
+const std::vector<CanResponseTime>& can_response_times(
+    const std::vector<CanMessageSpec>& messages, double bit_rate_bps,
+    double error_overhead_s, int errors, CanRtaScratch& scratch) {
   const double tau_bit = 1.0 / bit_rate_bps;
   // k error recoveries lengthen every level-i busy period by k*O (Broster
   // 2002). With zero errors this term is +0.0, leaving the error-free fixed
   // point bit-identical.
   const double recovery = error_overhead_s * static_cast<double>(errors);
 
-  std::vector<CanMessageSpec> sorted = messages;
+  std::vector<CanMessageSpec>& sorted = scratch.sorted;
+  sorted.assign(messages.begin(), messages.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const CanMessageSpec& a, const CanMessageSpec& b) { return a.id < b.id; });
 
   // Each frame's transmission time, once. Blocking of level i is the longest
   // lower-priority frame that may have started: block[i + 1], a suffix max.
   const std::size_t n = sorted.size();
-  std::vector<double> tx(n);
+  std::vector<double>& tx = scratch.tx;
+  tx.resize(n);
   for (std::size_t i = 0; i < n; ++i)
     tx[i] = static_cast<double>(CanBus::frame_bits(sorted[i].payload_bytes)) * tau_bit;
-  std::vector<double> block(n + 1, 0.0);
+  std::vector<double>& block = scratch.block;
+  block.assign(n + 1, 0.0);
   for (std::size_t i = n; i-- > 0;) block[i] = std::max(block[i + 1], tx[i]);
 
-  std::vector<CanResponseTime> results;
-  results.reserve(n);
+  std::vector<CanResponseTime>& results = scratch.results;
+  results.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const CanMessageSpec& mi = sorted[i];
     const double blocking = block[i + 1];

@@ -440,6 +440,8 @@ std::map<std::size_t, std::uint32_t> assign_can_ids(FitnessEvaluator& evaluator,
   // of messages above it, so priorities can be fixed bottom-up, trying the
   // longest-period (least urgent) messages first at each level.
   std::vector<std::size_t> unassigned = frames;
+  std::vector<network::CanMessageSpec> specs;
+  network::CanRtaScratch rta;
   for (std::size_t level = pool.size(); level-- > 0;) {
     const std::uint32_t id = pool[level];
     std::vector<std::size_t> candidates = unassigned;
@@ -453,7 +455,7 @@ std::map<std::size_t, std::uint32_t> assign_can_ids(FitnessEvaluator& evaluator,
     for (const std::size_t candidate : candidates) {
       // Trial assignment: candidate at this (lowest remaining) id, the rest
       // of the unassigned set on the remaining ids in ascending order.
-      std::vector<network::CanMessageSpec> specs;
+      specs.clear();
       std::size_t next_free = 0;
       for (const std::size_t f : unassigned) {
         network::CanMessageSpec spec;
@@ -474,7 +476,7 @@ std::map<std::size_t, std::uint32_t> assign_can_ids(FitnessEvaluator& evaluator,
       const std::uint32_t trial_id = id;
       bool schedulable = false;
       for (const network::CanResponseTime& response :
-           network::can_response_times(specs, model.buses[bus].bit_rate_bps))
+           network::can_response_times(specs, model.buses[bus].bit_rate_bps, rta))
         if (response.id == trial_id) schedulable = response.schedulable;
       if (schedulable) {
         chosen = candidate;
@@ -583,43 +585,43 @@ SynthesisResult synthesize(const config::ScenarioSpec& input,
 
   // --- Phase B: seeded annealing over the architecture moves ----------------
   // One thread draws and scores the round's candidates in index order and
-  // folds each right after scoring it. Two evaluators live for the whole
-  // search: each candidate is copy-assigned into `trial` (reusing its
-  // storage), and the round's best so far is swapped into `chosen`. An
-  // accepted move is mirrored into the spec and `chosen` becomes the
-  // master: it already holds the master plus that move, evaluated with the
-  // same dirty set a re-evaluation of the master would use.
+  // folds each right after scoring it. Each candidate is scored on the
+  // master evaluator inside a trial, which end_trial() takes back; the
+  // round's best so far keeps its evaluated state. An accepted move is
+  // applied to the master and mirrored into the spec, and the master adopts
+  // the kept state instead of evaluating the move a second time.
   util::Rng rng(options.seed);
   constexpr int kCandidatesPerRound = 8;
-  FitnessEvaluator trial = current.eval;
-  FitnessEvaluator chosen = current.eval;
+  FitnessEvaluator& eval = current.eval;
   double temperature = 1000.0;
   for (int round = 0; round < options.iters; ++round) {
     Move chosen_move;  // stays kNone when no candidate scored
     Fitness chosen_fitness;
     double chosen_energy = std::numeric_limits<double>::infinity();
     for (int i = 0; i < kCandidatesPerRound; ++i) {
-      const Move move = draw_move(rng, current.eval);
+      const Move move = draw_move(rng, eval);
       Fitness fitness;
       std::uint64_t passes = 0;
+      eval.begin_trial();
       try {
-        trial = current.eval;
-        const std::uint64_t before = trial.bus_pass_evals();
-        apply_move(trial, nullptr, move);
-        fitness = trial.evaluate();
-        passes = trial.bus_pass_evals() - before;
+        const std::uint64_t before = eval.bus_pass_evals();
+        apply_move(eval, nullptr, move);
+        fitness = eval.evaluate();
+        passes = eval.bus_pass_evals() - before;
       } catch (...) {
+        eval.end_trial(false);
         continue;  // a candidate that throws is skipped, never adopted
       }
+      const double e = energy(fitness);
+      const bool best_so_far = e < chosen_energy;
+      eval.end_trial(best_so_far);
       result.moves_evaluated += 1;
       result.bus_pass_evals += passes;
       pareto_insert(result.pareto, fitness, false);
-      const double e = energy(fitness);
-      if (e < chosen_energy) {
+      if (best_so_far) {
         chosen_energy = e;
         chosen_move = move;
         chosen_fitness = fitness;
-        std::swap(trial, chosen);
       }
     }
 
@@ -628,8 +630,8 @@ SynthesisResult synthesize(const config::ScenarioSpec& input,
     if (chosen_move.kind != Move::Kind::kNone) {
       const double delta = chosen_energy - current_energy;
       if (delta <= 0.0 || accept_draw < std::exp(-delta / temperature)) {
-        apply_move(current.eval, &current.spec, chosen_move);  // mirrors the spec
-        std::swap(current.eval, chosen);
+        apply_move(eval, &current.spec, chosen_move);  // mirrors the spec
+        eval.adopt_kept();
         current_fitness = chosen_fitness;
         current_energy = chosen_energy;
         ++result.moves_accepted;

@@ -298,6 +298,31 @@ TEST(Diagnostics, JsonEscapesControlBytes) {
     EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20) << int{c};
 }
 
+// The whole rendered report, byte for byte: quotes, backslashes and control
+// bytes in both subject and message, diagnostics added out of report order
+// (the writer sorts without touching the report it was given).
+TEST(Diagnostics, JsonEscapesSubjectAndMessageExactly) {
+  Report report;
+  report.scenario = "s\\1";
+  report.add(Severity::kInfo, "bus.load", "say \"hi\"\\", "back\\slash \"q\"\x02\n", 0.25);
+  report.add(Severity::kError, "rta.unschedulable", "c:\\\x1b", "tab\t\"\x7f", 1500.0);
+  const std::string json = report_json(report);
+  EXPECT_EQ(json,
+            "{\n"
+            "  \"scenario\": \"s\\\\1\",\n"
+            "  \"summary\": {\"errors\": 1, \"warnings\": 0, \"info\": 1},\n"
+            "  \"diagnostics\": [\n"
+            "    {\"severity\": \"error\", \"rule\": \"rta.unschedulable\", "
+            "\"subject\": \"c:\\\\\\u001b\", \"message\": \"tab\\t\\\"\x7f\", "
+            "\"bound\": 1.5e+03},\n"
+            "    {\"severity\": \"info\", \"rule\": \"bus.load\", "
+            "\"subject\": \"say \\\"hi\\\"\\\\\", "
+            "\"message\": \"back\\\\slash \\\"q\\\"\\u0002\\n\", \"bound\": 0.25}\n"
+            "  ]\n"
+            "}\n");
+  EXPECT_EQ(report.diagnostics[0].severity, Severity::kInfo);  // input order kept
+}
+
 TEST(Diagnostics, EveryReportEscapesTheScenarioName) {
   // The run, campaign and fleet reports print the same user-chosen name.
   const std::string name = "bad\x01\"name";
@@ -409,6 +434,85 @@ TEST(FitnessEvaluator, CrossCheckModeAcceptsAMoveSequence) {
   evaluator.evaluate();
   evaluator.set_can_bit_rate(1e6);
   EXPECT_NO_THROW(evaluator.evaluate());
+}
+
+// A trial takes back every kind of model edit and every memoized outcome,
+// pass counter included; a kept trial adopted after re-applying its moves
+// equals evaluating them, without evaluating again.
+TEST(FitnessEvaluator, TrialPutsTheEvaluatorBackAndAdoptsTheKeptOne) {
+  FitnessEvaluator evaluator(extract_model(clean_spec()));
+  evaluator.evaluate();
+  const std::string master_json = report_json(evaluator.report());
+  const std::uint64_t master_passes = evaluator.bus_pass_evals();
+
+  const auto reversed_windows = [&evaluator] {
+    std::vector<std::pair<std::string, std::int64_t>> windows;
+    for (const auto& partition : evaluator.model().app.partitions)
+      windows.emplace_back(partition.name, partition.budget_us);
+    std::reverse(windows.begin(), windows.end());
+    return windows;
+  };
+  const auto swapped_slots = [&evaluator] {
+    std::map<std::uint32_t, std::size_t> slots = evaluator.model().buses[4].fr_static_slot;
+    std::swap(slots.at(0x100), slots.at(0x105));
+    return slots;
+  };
+  // Every mutator, twice over one frame so the journal must undo in order.
+  const auto moves = [&] {
+    const std::size_t body = frame_by_base(evaluator.model(), 0x010);
+    evaluator.move_frame(body, 1);
+    evaluator.renumber_frame(body, 0x3f0);
+    evaluator.renumber_frame(frame_by_base(evaluator.model(), 0x302), 0x320);
+    evaluator.move_frame(body, 3);
+    evaluator.set_can_bit_rate(800e3);
+    evaluator.set_fr_slots(swapped_slots());
+    evaluator.set_partition_windows(reversed_windows());
+  };
+
+  evaluator.begin_trial();
+  moves();
+  evaluator.evaluate();
+  const std::string trial_json = report_json(evaluator.report());
+  const std::uint64_t trial_passes = evaluator.bus_pass_evals();
+  EXPECT_NE(trial_json, master_json);
+  EXPECT_GT(trial_passes, master_passes);
+  evaluator.end_trial(true);
+  EXPECT_EQ(report_json(evaluator.report()), master_json);
+  EXPECT_EQ(report_json(analyze(evaluator.model())), master_json);
+  EXPECT_EQ(evaluator.bus_pass_evals(), master_passes);
+
+  // A trial that throws half-way is taken back as well.
+  evaluator.begin_trial();
+  evaluator.move_frame(frame_by_base(evaluator.model(), 0x011), 3);
+  EXPECT_THROW(evaluator.set_fr_slots({}), std::logic_error);
+  evaluator.end_trial(false);
+  EXPECT_EQ(report_json(evaluator.report()), master_json);
+  EXPECT_EQ(evaluator.bus_pass_evals(), master_passes);
+
+  evaluator.set_cross_check(true);  // adopt_kept checks against a fresh run
+  moves();
+  EXPECT_NO_THROW(evaluator.adopt_kept());
+  EXPECT_EQ(evaluator.bus_pass_evals(), trial_passes);
+  EXPECT_EQ(report_json(evaluator.report()), trial_json);
+  EXPECT_EQ(report_json(analyze(evaluator.model())), trial_json);
+  EXPECT_THROW(evaluator.adopt_kept(), std::logic_error);  // nothing kept now
+}
+
+// Two frames on one CAN bus with the same wire id: every result for that id
+// bounds the first frame, and the second stays unbounded.
+TEST(FitnessEvaluator, RepeatedCanIdBoundsTheFirstFrame) {
+  FitnessEvaluator evaluator(extract_model(clean_spec()));
+  const std::size_t a = frame_by_base(evaluator.model(), 0x300);
+  const std::size_t b = frame_by_base(evaluator.model(), 0x302);
+  const std::size_t first = std::min(a, b);  // per-bus lists run in frame order
+  const std::size_t second = std::max(a, b);
+  ASSERT_EQ(evaluator.model().frames[first].bus, evaluator.model().frames[second].bus);
+  evaluator.renumber_frame(second, evaluator.model().frames[first].id);
+  evaluator.evaluate();
+  EXPECT_TRUE(evaluator.frame_bounds()[first].valid);
+  EXPECT_GT(evaluator.frame_bounds()[first].e2e_s, 0.0);
+  EXPECT_FALSE(evaluator.frame_bounds()[second].valid);
+  EXPECT_EQ(evaluator.frame_bounds()[second].e2e_s, 0.0);
 }
 
 TEST(FitnessEvaluator, FitnessTracksFeasibilityAndSlack) {

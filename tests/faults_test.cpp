@@ -6,13 +6,17 @@
 // drive the mode machine through the expected transitions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ev/bms/battery_manager.h"
 #include "ev/bywire/redundancy.h"
 #include "ev/faults/degradation.h"
 #include "ev/faults/fault_plan.h"
+#include "ev/faults/grid_faults.h"
 #include "ev/faults/network_faults.h"
 #include "ev/middleware/health.h"
 #include "ev/middleware/middleware.h"
@@ -428,6 +432,94 @@ TEST(EndToEnd, DriveLimitsConstrainPowertrain) {
   }
   EXPECT_GT(v_free, 20.0);       // unconstrained plant approaches the target
   EXPECT_LE(v_limited, 13.0);    // limp-home plant respects the speed cap
+}
+
+// --- GridFaultTimeline ------------------------------------------------------
+
+// The fleet loop keeps the grid state it last read until changed_between()
+// fires, so that test must be exact: over random timelines with
+// overlapping, zero-duration and off-grid events, whenever it is false the
+// three queries answer the same at both ends of the interval.
+TEST(GridFaultTimeline, UnchangedIntervalAnswersTheSame) {
+  using ev::faults::GridFaultEvent;
+  using ev::faults::GridFaultKind;
+  constexpr std::size_t kFeeders = 4;
+  constexpr std::size_t kStations = 20;
+  std::size_t unchanged = 0;
+  std::size_t changed = 0;
+  std::size_t degraded = 0;  // unchanged intervals with some fault active
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    ev::util::Rng rng(seed);
+    std::vector<GridFaultEvent> events;
+    std::vector<double> edges;
+    const auto count = rng.uniform_int(1, 8);
+    for (std::int64_t k = 0; k < count; ++k) {
+      GridFaultEvent e;
+      e.kind = static_cast<GridFaultKind>(rng.uniform_int(0, 2));
+      // Half the events start on the 2.5 s tick grid, half between ticks.
+      e.at_s = rng.uniform_int(0, 1) == 0 ? 2.5 * static_cast<double>(rng.uniform_int(0, 80))
+                                          : rng.uniform(0.0, 200.0);
+      switch (rng.uniform_int(0, 3)) {
+        case 0: e.duration_s = 0.0; break;
+        case 1: e.duration_s = rng.uniform(0.0, 2.5); break;  // may fit between ticks
+        default: e.duration_s = rng.uniform(0.0, 100.0); break;
+      }
+      if (e.kind == GridFaultKind::kCommsBlackout) {
+        e.target = static_cast<std::size_t>(rng.uniform_int(0, kStations - 1));
+        e.value = static_cast<double>(rng.uniform_int(0, 8));
+      } else {
+        e.target = static_cast<std::size_t>(rng.uniform_int(0, kFeeders - 1));
+        e.value = rng.uniform(0.0, 1.2);  // drops above 1 clamp to 0 capacity
+      }
+      edges.push_back(e.at_s);
+      edges.push_back(e.at_s + e.duration_s);
+      events.push_back(e);
+    }
+    const ev::faults::GridFaultTimeline timeline(events);
+
+    // Interval ends: tick instants, random instants and the event edges
+    // themselves, so a and b land on, just before and just after boundaries.
+    std::vector<double> points;
+    for (int tick = 0; tick <= 120; ++tick) points.push_back(2.5 * tick);
+    for (int i = 0; i < 60; ++i) points.push_back(rng.uniform(0.0, 300.0));
+    for (const double edge : edges) {
+      points.push_back(edge);
+      points.push_back(std::nextafter(edge, -1.0));
+      points.push_back(std::nextafter(edge, 1e9));
+    }
+    std::sort(points.begin(), points.end());
+    for (int pair = 0; pair < 400; ++pair) {
+      double a = points[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(points.size()) - 1))];
+      double b = points[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(points.size()) - 1))];
+      if (b < a) std::swap(a, b);
+      if (timeline.changed_between(a, b)) {
+        ++changed;
+        continue;
+      }
+      ++unchanged;
+      const double scale = timeline.capacity_scale(a);
+      EXPECT_EQ(scale, timeline.capacity_scale(b)) << "seed " << seed << " (" << a << ", " << b << "]";
+      bool any = scale != 1.0;
+      for (std::size_t f = 0; f < kFeeders; ++f) {
+        EXPECT_EQ(timeline.feeder_partitioned(f, a), timeline.feeder_partitioned(f, b))
+            << "seed " << seed << " feeder " << f << " (" << a << ", " << b << "]";
+        any = any || timeline.feeder_partitioned(f, a);
+      }
+      for (std::size_t st = 0; st < kStations; ++st) {
+        EXPECT_EQ(timeline.station_blacked_out(st, a), timeline.station_blacked_out(st, b))
+            << "seed " << seed << " station " << st << " (" << a << ", " << b << "]";
+        any = any || timeline.station_blacked_out(st, a);
+      }
+      if (any) ++degraded;
+    }
+  }
+  // Both answers of changed_between, and unchanged intervals inside an
+  // active fault, must all have been exercised.
+  EXPECT_GT(changed, 10000u);
+  EXPECT_GT(unchanged, 10000u);
+  EXPECT_GT(degraded, 1000u);
 }
 
 }  // namespace

@@ -31,6 +31,24 @@ using ev::fleet::MessageType;
 using ev::fleet::RetryPolicy;
 using ev::fleet::RetryQueue;
 
+// Report of MidTickFaultEdgesMatchGolden's spec.
+constexpr const char* kMidTickGolden =
+    R"({"fleet":"midtick","stations":12,"seed":7,"ticks":720,"sim_hours":0.5,)"
+    R"("final_mode":"constrained","digest":"d4a64ff2",)"
+    R"("grid":{"violations":0,"peak_draw_kw":6e+01,"min_headroom_kw":-7.105427357601002e-15,)"
+    R"("final_capacity_kw":6e+01,"mode_ticks":{"normal":117,"constrained":566,"shed_load":6,)"
+    R"("island":31}},)"
+    R"("sessions":{"arrivals":19,"started":19,"completed":8,"rejected":0,"abandoned":0,)"
+    R"("open_at_end":11,"energy_delivered_kwh":24.381134259259266,)"
+    R"("billed_kwh":16.07684457671955},)"
+    R"("control":{"enqueued":2349,"attempts":2509,"delivered":2328,"retries":160,)"
+    R"("dead_letters":21,"redelivered":7,"retry_pending_end":0,"journal_pending_end":0,)"
+    R"("latency_s":{"count":2328,"mean":0.586340206185567,"p50":0,"p95":0,"p99":12.5,)"
+    R"("max":1.2e+02}},)"
+    R"("liveness":{"lease_expiries":9,"reconnects":9,"throttle_ticks":267,"throttled_peak":5,)"
+    R"("suspend_events":14,"stale_reservations":138,"shed_suspensions":3,"rebalances":363},)"
+    R"("security":{"challenges":19,"accepted":19,"rejected":0}})" "\n";
+
 Message heartbeat_msg(std::uint32_t station, double created_s) {
   Message msg;
   msg.type = MessageType::kHeartbeat;
@@ -492,6 +510,33 @@ TEST(FleetRun, ReportByteIdenticalAcrossReruns) {
   other.seed = spec.seed + 1;
   EXPECT_NE(first, ev::fleet::fleet_report_json(ev::fleet::run_fleet(other, 1)))
       << "seed does not reach the simulation";
+}
+
+// Fault edges between ticks: every event starts and ends off the 2.5 s tick
+// grid, one capacity drop lives entirely between two ticks, two drops
+// overlap, and the last blackout starts exactly on a tick. The loop reads
+// the grid only when changed_between() fires, so this pins that it sees
+// each edge at the first tick after it. The report was recorded before the
+// loop stopped re-reading the timeline on every tick.
+TEST(FleetRun, MidTickFaultEdgesMatchGolden) {
+  FleetSpec spec = tiny_spec();
+  spec.name = "midtick";
+  spec.stations = 12;
+  spec.feeders = 3;
+  spec.sim_hours = 0.5;
+  spec.tick_s = 2.5;
+  spec.arrival_rate_per_station_per_h = 8.0;
+  spec.grid_capacity_kw = 60.0;
+  spec.grid_faults = {
+      GridFaultSpec{301.3, GridFaultKindSpec::kCapacityDrop, 0, 0.5, 0.7},
+      GridFaultSpec{400.1, GridFaultKindSpec::kCapacityDrop, 0, 0.4, 250.2},
+      GridFaultSpec{500.6, GridFaultKindSpec::kCapacityDrop, 0, 0.5, 100.05},
+      GridFaultSpec{650.25, GridFaultKindSpec::kCommsBlackout, 4, 5.0, 123.4},
+      GridFaultSpec{900.9, GridFaultKindSpec::kFeederPartition, 1, 0.0, 77.7},
+      GridFaultSpec{1000.0, GridFaultKindSpec::kCommsBlackout, 0, 12.0, 12.5},
+  };
+  const std::string report = ev::fleet::fleet_report_json(ev::fleet::run_fleet(spec, 1));
+  EXPECT_EQ(report, kMidTickGolden);
 }
 
 TEST(FleetRun, MetricsRegistryMatchesReport) {

@@ -258,7 +258,8 @@ TEST(Integration, CanAnalysisPredictsStarvation) {
   // simulation must show the same starvation the analysis predicts.
   std::vector<ev::network::CanMessageSpec> set;
   for (std::uint32_t i = 0; i < 16; ++i) set.push_back({i, 8, 0.003, 0.0});
-  const auto analysis = ev::network::can_response_times(set, 500e3);
+  ev::network::CanRtaScratch rta;
+  const auto& analysis = ev::network::can_response_times(set, 500e3, rta);
   const bool predicted_ok = analysis.back().schedulable;
   EXPECT_FALSE(predicted_ok);
 

@@ -149,7 +149,8 @@ TEST(Can, ObserverGaugesMatchHandRolledCounters) {
 
 TEST(CanAnalysis, HighestPriorityBoundTight) {
   std::vector<CanMessageSpec> set{{1, 8, 0.01, 0.0}, {2, 8, 0.01, 0.0}, {3, 8, 0.01, 0.0}};
-  const auto results = can_response_times(set, 500e3);
+  CanRtaScratch rta;
+  const auto results = can_response_times(set, 500e3, rta);
   ASSERT_EQ(results.size(), 3u);
   // Highest priority: blocking (one 135-bit frame) + own transmission.
   EXPECT_NEAR(results[0].worst_case_s, 2 * 135.0 / 500e3, 1e-6);
@@ -163,7 +164,8 @@ TEST(CanAnalysis, OverloadDetected) {
   // 30 messages at 1 ms on 500 kbit/s: > 100% utilization.
   std::vector<CanMessageSpec> set;
   for (std::uint32_t i = 0; i < 30; ++i) set.push_back({i, 8, 0.001, 0.0});
-  const auto results = can_response_times(set, 500e3);
+  CanRtaScratch rta;
+  const auto results = can_response_times(set, 500e3, rta);
   EXPECT_FALSE(results.back().schedulable);
 }
 
@@ -171,7 +173,8 @@ TEST(CanAnalysis, BoundDominatesSimulation) {
   // The analytical worst case must upper-bound every observed latency.
   std::vector<CanMessageSpec> set{{1, 8, 0.005, 0.0}, {2, 8, 0.007, 0.0},
                                   {3, 8, 0.009, 0.0}, {4, 8, 0.011, 0.0}};
-  const auto bounds = can_response_times(set, 500e3);
+  CanRtaScratch rta;
+  const auto bounds = can_response_times(set, 500e3, rta);
   std::map<std::uint32_t, double> bound_of;
   for (const auto& b : bounds) bound_of[b.id] = b.worst_case_s;
 
@@ -278,8 +281,9 @@ TEST(CanErrorModel, SameSeedReplaysBitIdentically) {
 TEST(CanAnalysis, FaultAwareLadderMatchesErrorFreeAtZero) {
   const std::vector<CanMessageSpec> set{{1, 8, 0.005, 0.0}, {2, 8, 0.007, 0.0002},
                                         {3, 8, 0.009, 0.0}, {4, 4, 0.011, 0.0}};
-  const auto clean = can_response_times(set, 125e3);
-  const auto zero = can_response_times(set, 125e3, 135.0 / 125e3, 0);
+  CanRtaScratch rta;
+  const auto clean = can_response_times(set, 125e3, rta);
+  const auto zero = can_response_times(set, 125e3, 135.0 / 125e3, 0, rta);
   ASSERT_EQ(clean.size(), zero.size());
   for (std::size_t i = 0; i < clean.size(); ++i) {
     // Bit-identical, not merely close: the k = 0 rung IS the deterministic
@@ -293,9 +297,10 @@ TEST(CanAnalysis, FaultAwareLadderMonotoneInErrors) {
   const std::vector<CanMessageSpec> set{{1, 8, 0.005, 0.0}, {2, 8, 0.007, 0.0},
                                         {3, 8, 0.009, 0.0}, {4, 8, 0.011, 0.0}};
   const double overhead_s = (31.0 + 135.0) / 125e3;
-  auto prev = can_response_times(set, 125e3, overhead_s, 0);
+  CanRtaScratch rta;
+  auto prev = can_response_times(set, 125e3, overhead_s, 0, rta);
   for (int k = 1; k <= 8; ++k) {
-    const auto next = can_response_times(set, 125e3, overhead_s, k);
+    const auto next = can_response_times(set, 125e3, overhead_s, k, rta);
     for (std::size_t i = 0; i < set.size(); ++i) {
       if (!prev[i].schedulable) continue;
       if (next[i].schedulable) {
@@ -367,11 +372,17 @@ void expect_same_bounds(const std::vector<CanResponseTime>& got,
   }
 }
 
+// One scratch serves every call, back to back: the set sizes jump up and
+// down from seed to seed, and within a seed the analysis runs again on ever
+// shorter prefixes, so a result that leaned on a longer set's leftover
+// buffers would diverge from the oracle.
 TEST(CanAnalysis, MatchesPerUseTransmissionTimeOracle) {
   static constexpr double kRates[] = {125e3, 250e3, 500e3, 800e3, 1e6};
   static constexpr double kPeriods[] = {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1};
   std::size_t schedulable = 0;
   std::size_t unschedulable = 0;
+  std::size_t prefixes = 0;
+  CanRtaScratch rta;
   for (std::uint64_t seed = 1; seed <= 600; ++seed) {
     ev::util::Rng rng(seed);
     const double rate = kRates[rng.uniform_int(0, 4)];
@@ -391,18 +402,27 @@ TEST(CanAnalysis, MatchesPerUseTransmissionTimeOracle) {
       max_bits = std::max(max_bits, CanBus::frame_bits(spec.payload_bytes));
       set.push_back(spec);
     }
-    const auto clean = can_response_times(set, rate);
+    const auto clean = can_response_times(set, rate, rta);
     expect_same_bounds(clean, oracle_can_response_times(set, rate, 0.0, 0), seed);
     // Error flag plus one retransmission of the longest frame, k <= 10.
     const double overhead_s = static_cast<double>(31 + max_bits) / rate;
     const int k = static_cast<int>(rng.uniform_int(0, 10));
-    expect_same_bounds(can_response_times(set, rate, overhead_s, k),
+    expect_same_bounds(can_response_times(set, rate, overhead_s, k, rta),
                        oracle_can_response_times(set, rate, overhead_s, k), seed);
     for (const CanResponseTime& r : clean) (r.schedulable ? schedulable : unschedulable) += 1;
+    // Falling sizes on the same scratch: halve the set down to one message.
+    for (std::size_t size = n / 2; size > 0; size /= 2) {
+      const std::vector<CanMessageSpec> prefix(set.begin(),
+                                               set.begin() + static_cast<std::ptrdiff_t>(size));
+      expect_same_bounds(can_response_times(prefix, rate, overhead_s, k, rta),
+                         oracle_can_response_times(prefix, rate, overhead_s, k), seed);
+      ++prefixes;
+    }
   }
   // Both branches of the fixed point must have been exercised.
   EXPECT_GT(schedulable, 1000u);
   EXPECT_GT(unschedulable, 1000u);
+  EXPECT_GT(prefixes, 1500u);
 }
 
 // ------------------------------------------------------------------ LIN ----

@@ -6,8 +6,11 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <sstream>
+#include <string>
 
 #include "ev/util/crc.h"
+#include "ev/util/json.h"
 #include "ev/util/math.h"
 #include "ev/util/ring_buffer.h"
 #include "ev/util/rng.h"
@@ -427,5 +430,41 @@ TEST_P(RingBufferProperty, SizeNeverExceedsCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, RingBufferProperty,
                          ::testing::Values(1, 2, 7, 64));
+
+// The escaping rules of ev/util/json.h, spelled out per byte.
+std::string expected_escape(int c) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\n': return "\\n";
+    case '\t': return "\\t";
+    default: break;
+  }
+  if (c < 0x20) return std::string("\\u00") + "01"[c >> 4] + "0123456789abcdef"[c & 15];
+  return std::string(1, static_cast<char>(c));
+}
+
+// json_escape and write_json_escaped share one implementation; pin both to
+// the escaping rules on every byte value and on runs around the escapes.
+TEST(Json, EscapeAndStreamAgreeOnEveryByte) {
+  std::string all;
+  std::string all_escaped;
+  for (int c = 0; c < 256; ++c) {
+    const std::string one(1, static_cast<char>(c));
+    const std::string want = expected_escape(c);
+    EXPECT_EQ(ev::util::json_escape(one), want) << "byte " << c;
+    std::ostringstream out;
+    ev::util::write_json_escaped(out, one);
+    EXPECT_EQ(out.str(), want) << "byte " << c;
+    all += "ab" + one + "c";
+    all_escaped += "ab" + want + "c";
+  }
+  std::ostringstream out;
+  ev::util::write_json_escaped(out, all);
+  EXPECT_EQ(out.str(), all_escaped);
+  EXPECT_EQ(ev::util::json_escape(all), all_escaped);
+  EXPECT_EQ(ev::util::json_escape(""), "");
+  EXPECT_EQ(ev::util::json_escape("plain"), "plain");
+}
 
 }  // namespace
