@@ -3,6 +3,7 @@
 #   unknown verb           -> exit 2, stderr enumerates every valid verb
 #   unknown template kind  -> exit 2, stderr enumerates the template kinds
 #   explicit 'template scenario' and bare 'template' -> identical output
+#   'template' and 'template fleet' -> the bytes of tests/data/golden/golden_template.*
 #   malformed or out-of-range numeric flag -> exit 2, stderr names the flag
 #   unknown, valueless or repeated flag, extra operand
 #                          -> exit 2, one stderr line naming verb and culprit
@@ -76,6 +77,20 @@ if(NOT bare STREQUAL explicit)
   message(FATAL_ERROR "'template' and 'template scenario' outputs differ")
 endif()
 message(STATUS "'template scenario' matches bare 'template'")
+file(READ "${SOURCE_DIR}/tests/data/golden/golden_template.scn" golden)
+if(NOT bare STREQUAL golden)
+  message(FATAL_ERROR "'template' differs from tests/data/golden/golden_template.scn")
+endif()
+execute_process(
+  COMMAND "${EVSYS}" template fleet
+  RESULT_VARIABLE code
+  OUTPUT_VARIABLE fleet_template)
+file(READ "${SOURCE_DIR}/tests/data/golden/golden_template.fleet" golden)
+if(NOT code EQUAL 0 OR NOT fleet_template STREQUAL golden)
+  message(FATAL_ERROR "'template fleet' (exit ${code}) differs from "
+                      "tests/data/golden/golden_template.fleet")
+endif()
+message(STATUS "both templates match their goldens")
 
 execute_process(
   COMMAND "${EVSYS}"

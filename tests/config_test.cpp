@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -59,6 +61,50 @@ ScenarioSpec fully_loaded_spec() {
   return spec;
 }
 
+// fully_loaded_spec with every arch.* list non-empty: every key to_text can
+// write, each away from its default, and one fault of each kind.
+ScenarioSpec kitchen_sink_spec() {
+  ScenarioSpec spec = fully_loaded_spec();
+  spec.arch.set_frame_bus(0x010, "comfort_can");
+  spec.arch.set_frame_bus(0x203, "comfort_can");
+  spec.arch.set_frame_id(0x300, 0x303);
+  spec.arch.set_frame_id(0x301, 0x1abcdef);
+  spec.arch.set_frame_id(0x303, 0x300);
+  spec.arch.set_fr_slot(0x100, 7);
+  spec.arch.set_fr_slot(0x107, 0);
+  spec.arch.set_partition_windows({{"hmi", 8000}, {"information", 4000}});
+  return spec;
+}
+
+std::string read_golden(const std::string& name) {
+  const std::string path = std::string(EVSYS_SOURCE_DIR) + "/tests/data/golden/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "cannot read " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Full-message assertion: from_text(text) throws exactly \p message.
+void expect_parse_error(const std::string& text, const std::string& message) {
+  try {
+    (void)ScenarioSpec::from_text(text);
+    FAIL() << "accepted: " << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), message) << "for " << text;
+  }
+}
+
+// Full-message assertion: spec.validate() throws exactly \p message.
+void expect_validate_error(const ScenarioSpec& spec, const std::string& message) {
+  try {
+    spec.validate();
+    FAIL() << "validated";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+}
+
 // ------------------------------------------------------------ round trip ----
 
 TEST(ScenarioText, DefaultSpecRoundTrips) {
@@ -72,6 +118,21 @@ TEST(ScenarioText, FullyLoadedSpecRoundTrips) {
   EXPECT_EQ(parsed, spec);
   // And the canonical rendering is a fixed point.
   EXPECT_EQ(parsed.to_text(), spec.to_text());
+}
+
+// The bytes of to_text are pinned: key order, number forms, frame ids and
+// enum names. `evsys print` and `evsys synthesize --out` write these bytes.
+TEST(ScenarioText, KitchenSinkMatchesGolden) {
+  const ScenarioSpec spec = kitchen_sink_spec();
+  spec.validate();
+  const std::string golden = read_golden("golden_kitchen_sink.scn");
+  EXPECT_EQ(spec.to_text(), golden);
+  EXPECT_EQ(ScenarioSpec::from_text(golden), spec);
+}
+
+// `evsys template` prints the default spec.
+TEST(ScenarioText, TemplateMatchesGolden) {
+  EXPECT_EQ(ScenarioSpec{}.to_text(), read_golden("golden_template.scn"));
 }
 
 TEST(ScenarioText, AwkwardDoublesRoundTrip) {
@@ -105,8 +166,12 @@ TEST(ScenarioFile, SaveLoadRoundTrips) {
 }
 
 TEST(ScenarioFile, MissingFileThrows) {
-  EXPECT_THROW((void)load_scenario_file("/nonexistent/nowhere.scn"),
-               std::invalid_argument);
+  try {
+    (void)load_scenario_file("/nonexistent/nowhere.scn");
+    FAIL() << "missing file loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "scenario: cannot read '/nonexistent/nowhere.scn'");
+  }
 }
 
 // ------------------------------------------------------ arch mutations ----
@@ -224,32 +289,63 @@ TEST(ScenarioArch, ArchLinesParseBackFromText) {
   EXPECT_EQ(spec.arch.partitions[0].budget_us, 9000);
 }
 
+TEST(ScenarioParser, RejectsMalformedArchLines) {
+  expect_parse_error("arch.frame_bus.1 = 0x010 comfort_can\n",
+                     "scenario: arch.frame_bus entries must be numbered consecutively "
+                     "from 0; got 'arch.frame_bus.1'");
+  expect_parse_error("arch.frame_id.1 = 0x300 0x310\n",
+                     "scenario: arch.frame_id entries must be numbered consecutively "
+                     "from 0; got 'arch.frame_id.1'");
+  expect_parse_error("arch.fr_slot.1 = 0x100 4\n",
+                     "scenario: arch.fr_slot entries must be numbered consecutively "
+                     "from 0; got 'arch.fr_slot.1'");
+  expect_parse_error("arch.partition.1 = hmi 9000\n",
+                     "scenario: arch.partition entries must be numbered consecutively "
+                     "from 0; got 'arch.partition.1'");
+  expect_parse_error("arch.frame_bus.0 = 0x010\n",
+                     "scenario: 'arch.frame_bus.0' expects '<frame_id> <bus>'");
+  expect_parse_error("arch.frame_id.0 = 0x300 0x310 0x320\n",
+                     "scenario: 'arch.frame_id.0' expects '<frame_id> <new_id>'");
+  expect_parse_error("arch.fr_slot.0 = 0x100\n",
+                     "scenario: 'arch.fr_slot.0' expects '<frame_id> <slot>'");
+  expect_parse_error("arch.partition.0 = hmi\n",
+                     "scenario: 'arch.partition.0' expects '<partition> <budget_us>'");
+  expect_parse_error("arch.frame_bus.x = 0x010 comfort_can\n",
+                     "scenario: 'arch.frame_bus.x' expects a non-negative integer, got 'x'");
+  expect_parse_error("arch.fr_slot.0 = 0x100 -4\n",
+                     "scenario: 'arch.fr_slot.0' expects a non-negative integer, got '-4'");
+  expect_parse_error("arch.partition.0 = hmi 9e3\n",
+                     "scenario: 'arch.partition.0' expects an integer, got '9e3'");
+}
+
 // ----------------------------------------------------------------- parser ----
 
 TEST(ScenarioParser, RejectsUnknownKey) {
-  EXPECT_THROW((void)ScenarioSpec::from_text("pack.modles = 4\n"),
-               std::invalid_argument);
+  expect_parse_error("pack.modles = 4\n", "scenario: unknown key 'pack.modles'");
+  // A list prefix without the dot names no list.
+  expect_parse_error("fault = 2 bus.drop safety_can 1\n", "scenario: unknown key 'fault'");
 }
 
 TEST(ScenarioParser, RejectsLineWithoutEquals) {
-  EXPECT_THROW((void)ScenarioSpec::from_text("just some words\n"),
-               std::invalid_argument);
+  expect_parse_error("just some words\n",
+                     "scenario: expected 'key = value', got 'just some words'");
 }
 
 TEST(ScenarioParser, RejectsBadEnumValues) {
-  EXPECT_THROW((void)ScenarioSpec::from_text("drive.cycle = offroad\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)ScenarioSpec::from_text("bms.balancing = magic\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)ScenarioSpec::from_text("subsystems.obs = maybe\n"),
-               std::invalid_argument);
+  expect_parse_error("drive.cycle = offroad\n", "scenario: unknown drive cycle 'offroad'");
+  expect_parse_error("bms.balancing = magic\n",
+                     "scenario: unknown balancing policy 'magic'");
+  expect_parse_error("subsystems.obs = maybe\n",
+                     "scenario: 'subsystems.obs' expects true or false, got 'maybe'");
 }
 
 TEST(ScenarioParser, RejectsNonNumericScalars) {
-  EXPECT_THROW((void)ScenarioSpec::from_text("pack.initial_soc = high\n"),
-               std::invalid_argument);
-  EXPECT_THROW((void)ScenarioSpec::from_text("powertrain.seed = -3\n"),
-               std::invalid_argument);
+  expect_parse_error("pack.initial_soc = high\n",
+                     "scenario: 'pack.initial_soc' expects a number, got 'high'");
+  expect_parse_error("powertrain.seed = -3\n",
+                     "scenario: 'powertrain.seed' expects a non-negative integer, got '-3'");
+  expect_parse_error("timing.middleware_frame_us = 2.5\n",
+                     "scenario: 'timing.middleware_frame_us' expects an integer, got '2.5'");
 }
 
 // Substring assertion helper for parser diagnostics.
@@ -278,6 +374,8 @@ TEST(ScenarioParser, RejectsOutOfRangeScalars) {
                        "out of range");
   expect_parse_rejects("timing.middleware_frame_us = -99999999999999999999\n",
                        "out of range");
+  expect_parse_error("powertrain.aux_power_w = 1e999\n",
+                     "scenario: 'powertrain.aux_power_w' value out of range: '1e999'");
 }
 
 TEST(ScenarioParser, RejectsNonFiniteDoubles) {
@@ -301,6 +399,16 @@ TEST(ScenarioParser, RejectsGrammarBeyondWhatToTextEmits) {
   expect_parse_rejects("drive.repeat = 0x10\n", "non-negative integer");
   expect_parse_rejects("drive.repeat = 3.0\n", "non-negative integer");
   expect_parse_rejects("timing.middleware_frame_us = +20000\n", "integer");
+  // Frame ids: `0x` and hex digits, at most 29 bits.
+  expect_parse_error("arch.frame_bus.0 = 010 comfort_can\n",
+                     "scenario: 'arch.frame_bus.0' expects a 0x-prefixed frame id, got '010'");
+  expect_parse_error("arch.frame_id.0 = 0x300 0x20000000\n",
+                     "scenario: 'arch.frame_id.0' expects a 0x-prefixed frame id, got "
+                     "'0x20000000'");
+  expect_parse_error("arch.fr_slot.0 = 0x 4\n",
+                     "scenario: 'arch.fr_slot.0' expects a 0x-prefixed frame id, got '0x'");
+  expect_parse_error("arch.frame_bus.0 = 0x01g comfort_can\n",
+                     "scenario: 'arch.frame_bus.0' expects a 0x-prefixed frame id, got '0x01g'");
   // The exponent form to_text does emit (e.g. 5e+05) still parses.
   ScenarioSpec spec = ScenarioSpec::from_text("network.can_bit_rate = 5e+05\n");
   EXPECT_EQ(spec.network.can_bit_rate, 500e3);
@@ -309,8 +417,8 @@ TEST(ScenarioParser, RejectsGrammarBeyondWhatToTextEmits) {
 }
 
 TEST(ScenarioParser, RejectsEmptyValue) {
-  expect_parse_rejects("drive.repeat =\n", "empty");
-  expect_parse_rejects("= 3\n", "empty");
+  expect_parse_error("drive.repeat =\n", "scenario: empty key or value in 'drive.repeat ='");
+  expect_parse_error("= 3\n", "scenario: empty key or value in '= 3'");
 }
 
 TEST(ScenarioValidate, RejectsNonFiniteFields) {
@@ -321,10 +429,14 @@ TEST(ScenarioValidate, RejectsNonFiniteFields) {
   const double inf = std::numeric_limits<double>::infinity();
   ScenarioSpec spec;
   spec.pack.initial_soc = nan;
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  expect_validate_error(spec, "scenario: pack.initial_soc must be finite");
   spec = ScenarioSpec{};
   spec.powertrain.aux_power_w = inf;
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  expect_validate_error(spec, "scenario: powertrain.aux_power_w must be finite");
+  spec = ScenarioSpec{};  // the first non-finite field in text order is named
+  spec.timing.bms_publish_period_s = nan;
+  spec.network.flexray_bit_rate = -inf;
+  expect_validate_error(spec, "scenario: network.flexray_bit_rate must be finite");
   spec = ScenarioSpec{};
   spec.network.load_scale = nan;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
@@ -354,8 +466,7 @@ TEST(ScenarioParser, RejectsDuplicateKeys) {
         "drive.repeat = 3\n");
     FAIL() << "duplicate key accepted";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("duplicate key"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("drive.repeat"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()), "scenario: duplicate key 'drive.repeat'");
   }
   // Repeating the same value is still a duplicate — the format is one line
   // per key by construction (to_text never emits two).
@@ -367,15 +478,19 @@ TEST(ScenarioParser, RejectsDuplicateKeys) {
 
 TEST(ScenarioParser, RejectsMalformedFaultLines) {
   // Wrong field count.
-  EXPECT_THROW((void)ScenarioSpec::from_text("fault.0 = 2 bus.drop safety_can\n"),
-               std::invalid_argument);
+  expect_parse_error("fault.0 = 2 bus.drop safety_can\n",
+                     "scenario: 'fault.0' expects '<at_s> <kind> <target> <value>'");
   // Unknown kind.
-  EXPECT_THROW(
-      (void)ScenarioSpec::from_text("fault.0 = 2 bus.melt safety_can 1\n"),
-      std::invalid_argument);
+  expect_parse_error("fault.0 = 2 bus.melt safety_can 1\n",
+                     "scenario: unknown fault kind 'bus.melt'");
+  expect_parse_error("fault.0 = soon bus.drop safety_can 1\n",
+                     "scenario: 'fault.0' expects a number, got 'soon'");
   // Numbering must start at 0 and be consecutive.
-  EXPECT_THROW((void)ScenarioSpec::from_text("fault.1 = 2 bus.drop safety_can 1\n"),
-               std::invalid_argument);
+  expect_parse_error("fault.1 = 2 bus.drop safety_can 1\n",
+                     "scenario: fault entries must be numbered consecutively from 0; "
+                     "got 'fault.1'");
+  expect_parse_error("fault.0 = 2 bus.drop safety_can 1\nfault.0 = 3 bus.drop safety_can 1\n",
+                     "scenario: duplicate key 'fault.0'");
   EXPECT_THROW((void)ScenarioSpec::from_text(
                    "fault.0 = 2 bus.drop safety_can 1\n"
                    "fault.2 = 3 bus.drop safety_can 1\n"),

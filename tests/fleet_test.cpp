@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -59,6 +61,70 @@ Message heartbeat_msg(std::uint32_t station, double created_s) {
 
 // --- FleetSpec round trip and validation ------------------------------------
 
+std::string read_golden(const std::string& name) {
+  const std::string path = std::string(EVSYS_SOURCE_DIR) + "/tests/data/golden/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "cannot read " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Full-message assertion: from_text(text) throws exactly \p message.
+void expect_fleet_error(const std::string& text, const std::string& message) {
+  try {
+    (void)FleetSpec::from_text(text);
+    FAIL() << "accepted: " << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), message) << "for " << text;
+  }
+}
+
+// Every key away from its default and one grid fault of each kind: the
+// bytes of to_text are pinned, key order, number forms and enum names.
+TEST(FleetSpec, KitchenSinkMatchesGolden) {
+  FleetSpec spec;
+  spec.name = "kitchen-sink";
+  spec.stations = 24;
+  spec.feeders = 3;
+  spec.sim_hours = 0.5;
+  spec.tick_s = 2.5;
+  spec.seed = 7;
+  spec.station_max_current_a = 40.0;
+  spec.station_min_current_a = 8.0;
+  spec.station_safe_current_a = 10.0;
+  spec.station_voltage_v = 230.0;
+  spec.rogue_stations = 2;
+  spec.arrival_rate_per_station_per_h = 1.25;
+  spec.session_energy_min_kwh = 4.5;
+  spec.session_energy_max_kwh = 22.0;
+  spec.meter_period_s = 30.0;
+  spec.grid_capacity_kw = 180.0;
+  spec.rebalance_period_s = 7.5;
+  spec.heartbeat_period_s = 5.0;
+  spec.heartbeat_lease_s = 20.0;
+  spec.msg_loss_probability = 0.05;
+  spec.retry_max_attempts = 4;
+  spec.retry_timeout_s = 1.5;
+  spec.retry_backoff_base_s = 0.5;
+  spec.retry_backoff_cap_s = 30.0;
+  spec.retry_jitter = 0.25;
+  spec.grid_faults = {
+      GridFaultSpec{120.0, GridFaultKindSpec::kCapacityDrop, 0, 0.4, 600.0},
+      GridFaultSpec{900.0, GridFaultKindSpec::kFeederPartition, 2, 0.0, 300.0},
+      GridFaultSpec{1500.0, GridFaultKindSpec::kCommsBlackout, 8, 6.0, 240.0},
+  };
+  spec.validate();
+  const std::string golden = read_golden("golden_kitchen_sink.fleet");
+  EXPECT_EQ(spec.to_text(), golden);
+  EXPECT_EQ(FleetSpec::from_text(golden), spec);
+}
+
+// `evsys template fleet` prints the default spec.
+TEST(FleetSpec, TemplateMatchesGolden) {
+  EXPECT_EQ(FleetSpec{}.to_text(), read_golden("golden_template.fleet"));
+}
+
 TEST(FleetSpec, DefaultRoundTripsLosslessly) {
   const FleetSpec spec;
   const FleetSpec reparsed = FleetSpec::from_text(spec.to_text());
@@ -100,7 +166,34 @@ TEST(FleetSpec, ValidateRejectsBadValues) {
 TEST(FleetSpec, FromTextRejectsDuplicateKeys) {
   const FleetSpec spec;
   const std::string text = spec.to_text() + "fleet.stations = 9\n";
-  EXPECT_THROW((void)FleetSpec::from_text(text), std::invalid_argument);
+  expect_fleet_error(text, "fleet: duplicate key 'fleet.stations'");
+}
+
+TEST(FleetSpec, ParserNamesTheOffendingLine) {
+  expect_fleet_error("fleet.stations 9\n", "fleet: expected 'key = value', got 'fleet.stations 9'");
+  expect_fleet_error("fleet.stations =\n", "fleet: empty key or value in 'fleet.stations ='");
+  expect_fleet_error("fleet.statoins = 9\n", "fleet: unknown key 'fleet.statoins'");
+  expect_fleet_error("fleet.tick_s = fast\n", "fleet: 'fleet.tick_s' expects a number, got 'fast'");
+  expect_fleet_error("fleet.stations = -9\n",
+                     "fleet: 'fleet.stations' expects a non-negative integer, got '-9'");
+  expect_fleet_error("grid.capacity_kw = 1e999\n",
+                     "fleet: 'grid.capacity_kw' value out of range: '1e999'");
+  expect_fleet_error("gridfault.0 = 1 grid.melt 0 0.5 60\n",
+                     "fleet: unknown grid fault kind 'grid.melt'");
+  expect_fleet_error("gridfault.1 = 1 grid.capacity_drop 0 0.5 60\n",
+                     "fleet: gridfault entries must be numbered consecutively from 0; "
+                     "got 'gridfault.1'");
+  expect_fleet_error("gridfault.0 = 1 grid.capacity_drop 0 0.5\n",
+                     "fleet: 'gridfault.0' expects '<at_s> <kind> <target> <value> "
+                     "<duration_s>'");
+  expect_fleet_error("gridfault.0 = 1 grid.capacity_drop -1 0.5 60\n",
+                     "fleet: 'gridfault.0' expects a non-negative integer, got '-1'");
+  try {
+    (void)ev::config::load_fleet_file("/nonexistent/nowhere.fleet");
+    FAIL() << "missing file loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "fleet: cannot read '/nonexistent/nowhere.fleet'");
+  }
 }
 
 // Substring assertion helper for the .fleet parser's diagnostics.
@@ -135,7 +228,12 @@ TEST(FleetSpec, ValidateRejectsNonFiniteFields) {
   const double inf = std::numeric_limits<double>::infinity();
   FleetSpec spec;
   spec.grid_capacity_kw = inf;
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  try {
+    spec.validate();
+    FAIL() << "validated";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "fleet: grid.capacity_kw must be finite");
+  }
 
   spec = FleetSpec{};
   spec.tick_s = nan;
