@@ -14,77 +14,91 @@
 #include "kv_text.h"
 
 namespace ev::config {
+
+template <>
+struct detail::EnumNames<CycleKind> {
+  static constexpr const char* kWhat = "drive cycle";
+  static constexpr std::string_view kNames[] = {"urban", "highway", "suburban"};
+};
+
+template <>
+struct detail::EnumNames<Balancing> {
+  static constexpr const char* kWhat = "balancing policy";
+  static constexpr std::string_view kNames[] = {"none", "passive", "active"};
+};
+
+template <>
+struct detail::EnumNames<FaultKind> {
+  static constexpr const char* kWhat = "fault kind";
+  static constexpr std::string_view kNames[] = {
+      "bus.drop",       "bus.corrupt",       "bus.off",
+      "bus.babble",     "partition.crash",   "partition.hang",
+      "bms.stuck_voltage", "bus.error_rate", "bus.error_prob"};
+};
+
+// The values of one list entry, in text order (see kv_text.h).
+void entry_fields(detail::MaybeConst<FrameBusSpec> auto& e, auto&& visit) {
+  visit("<frame_id>", e.frame_id);
+  visit("<bus>", e.bus);
+}
+
+void entry_fields(detail::MaybeConst<FrameIdSpec> auto& e, auto&& visit) {
+  visit("<frame_id>", e.frame_id);
+  visit("<new_id>", e.new_id);
+}
+
+void entry_fields(detail::MaybeConst<FrSlotSpec> auto& e, auto&& visit) {
+  visit("<frame_id>", e.frame_id);
+  visit("<slot>", e.slot);
+}
+
+void entry_fields(detail::MaybeConst<PartitionWindowSpec> auto& e, auto&& visit) {
+  visit("<partition>", e.partition);
+  visit("<budget_us>", e.budget_us);
+}
+
+void entry_fields(detail::MaybeConst<FaultEventSpec> auto& f, auto&& visit) {
+  visit("<at_s>", f.at_s);
+  visit("<kind>", f.kind);
+  visit("<target>", f.target);
+  visit("<value>", f.value);
+}
+
 namespace {
 
 using detail::fail;
-using detail::split_ws;
-using detail::trim;
 
-// --- enum <-> text ----------------------------------------------------------
-
-CycleKind parse_cycle(const std::string& s) {
-  if (s == "urban") return CycleKind::kUrban;
-  if (s == "highway") return CycleKind::kHighway;
-  if (s == "suburban") return CycleKind::kSuburban;
-  fail("scenario: unknown drive cycle '" + s + "'");
-}
-
-Balancing parse_balancing(const std::string& s) {
-  if (s == "none") return Balancing::kNone;
-  if (s == "passive") return Balancing::kPassive;
-  if (s == "active") return Balancing::kActive;
-  fail("scenario: unknown balancing policy '" + s + "'");
-}
-
-FaultKind parse_fault_kind(const std::string& s) {
-  if (s == "bus.drop") return FaultKind::kBusDrop;
-  if (s == "bus.corrupt") return FaultKind::kBusCorrupt;
-  if (s == "bus.off") return FaultKind::kBusOff;
-  if (s == "bus.babble") return FaultKind::kBusBabble;
-  if (s == "partition.crash") return FaultKind::kPartitionCrash;
-  if (s == "partition.hang") return FaultKind::kPartitionHang;
-  if (s == "bms.stuck_voltage") return FaultKind::kSensorStuck;
-  if (s == "bus.error_rate") return FaultKind::kBusErrorRate;
-  if (s == "bus.error_prob") return FaultKind::kBusErrorProb;
-  fail("scenario: unknown fault kind '" + s + "'");
-}
-
-// --- scalar parsing ---------------------------------------------------------
-
-double parse_double(const std::string& s, const std::string& key) {
-  return detail::parse_double(s, key, "scenario");
-}
-
-std::uint64_t parse_u64(const std::string& s, const std::string& key) {
-  return detail::parse_u64(s, key, "scenario");
-}
-
-std::int64_t parse_i64(const std::string& s, const std::string& key) {
-  return detail::parse_i64(s, key, "scenario");
-}
-
-bool parse_bool(const std::string& s, const std::string& key) {
-  return detail::parse_bool(s, key, "scenario");
-}
-
-// --- arch helpers -----------------------------------------------------------
-
-// Frame identifiers appear in scenario text exactly as the analyzer prints
-// them: `0x` plus at least three lowercase hex digits.
-std::string format_frame_id(std::uint32_t id) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "0x%03x", id);
-  return buf;
-}
-
-std::uint32_t parse_frame_id(const std::string& s, const std::string& key) {
-  if (s.rfind("0x", 0) != 0)
-    fail("scenario: '" + key + "' expects a 0x-prefixed frame id, got '" + s + "'");
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(s.c_str() + 2, &end, 16);
-  if (end == s.c_str() + 2 || *end != '\0' || v > 0x1FFFFFFFUL)
-    fail("scenario: '" + key + "' expects a 0x-prefixed frame id, got '" + s + "'");
-  return static_cast<std::uint32_t>(v);
+// Every key of scenario text, in to_text order.
+void fields(detail::MaybeConst<ScenarioSpec> auto& s, auto&& visit) {
+  visit("scenario.name", s.name);
+  visit("drive.cycle", s.drive.cycle);
+  visit("drive.repeat", s.drive.repeat);
+  visit("pack.module_count", s.pack.module_count);
+  visit("pack.cells_per_module", s.pack.cells_per_module);
+  visit("pack.initial_soc", s.pack.initial_soc);
+  visit("pack.soc_spread_sigma", s.pack.soc_spread_sigma);
+  visit("pack.lfp_chemistry", s.pack.lfp_chemistry);
+  visit("bms.balancing", s.bms.balancing);
+  visit("bms.initial_soc_estimate", s.bms.initial_soc_estimate);
+  visit("powertrain.seed", s.powertrain.seed);
+  visit("powertrain.aux_power_w", s.powertrain.aux_power_w);
+  visit("network.load_scale", s.network.load_scale);
+  visit("network.can_bit_rate", s.network.can_bit_rate);
+  visit("network.lin_bit_rate", s.network.lin_bit_rate);
+  visit("network.flexray_bit_rate", s.network.flexray_bit_rate);
+  visit("timing.control_period_s", s.timing.control_period_s);
+  visit("timing.bms_publish_period_s", s.timing.bms_publish_period_s);
+  visit("timing.middleware_frame_us", s.timing.middleware_frame_us);
+  visit("subsystems.obs", s.subsystems.obs);
+  visit("subsystems.faults", s.subsystems.faults);
+  visit("subsystems.health", s.subsystems.health);
+  visit("subsystems.security", s.subsystems.security);
+  visit("arch.frame_bus", s.arch.frame_buses);
+  visit("arch.frame_id", s.arch.frame_ids);
+  visit("arch.fr_slot", s.arch.fr_slots);
+  visit("arch.partition", s.arch.partitions);
+  visit("faults.seed", s.fault_seed);
+  visit("fault", s.faults);
 }
 
 // Inserts or replaces the entry for `frame_id` while keeping the list
@@ -179,9 +193,9 @@ std::string format_double(double value) {
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  const std::string s(text);
-  if (!detail::match_decimal(s, /*allow_sign=*/false, /*allow_fraction=*/false))
+  if (!detail::match_decimal(text, /*allow_sign=*/false, /*allow_fraction=*/false))
     return std::nullopt;
+  const std::string s(text);
   errno = 0;
   const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
   if (errno == ERANGE) return std::nullopt;
@@ -189,67 +203,25 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) {
 }
 
 std::optional<std::int64_t> parse_i64(std::string_view text) {
-  const std::string s(text);
-  if (!detail::match_decimal(s, /*allow_sign=*/true, /*allow_fraction=*/false))
+  if (!detail::match_decimal(text, /*allow_sign=*/true, /*allow_fraction=*/false))
     return std::nullopt;
+  const std::string s(text);
   errno = 0;
   const long long v = std::strtoll(s.c_str(), nullptr, 10);
   if (errno == ERANGE) return std::nullopt;
   return static_cast<std::int64_t>(v);
 }
 
-std::string to_string(CycleKind kind) {
-  switch (kind) {
-    case CycleKind::kUrban: return "urban";
-    case CycleKind::kHighway: return "highway";
-    case CycleKind::kSuburban: return "suburban";
-  }
-  return "urban";
-}
+std::string to_string(CycleKind kind) { return std::string(detail::enum_name(kind)); }
 
 std::string to_string(Balancing balancing) {
-  switch (balancing) {
-    case Balancing::kNone: return "none";
-    case Balancing::kPassive: return "passive";
-    case Balancing::kActive: return "active";
-  }
-  return "passive";
+  return std::string(detail::enum_name(balancing));
 }
 
-std::string to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kBusDrop: return "bus.drop";
-    case FaultKind::kBusCorrupt: return "bus.corrupt";
-    case FaultKind::kBusOff: return "bus.off";
-    case FaultKind::kBusBabble: return "bus.babble";
-    case FaultKind::kPartitionCrash: return "partition.crash";
-    case FaultKind::kPartitionHang: return "partition.hang";
-    case FaultKind::kSensorStuck: return "bms.stuck_voltage";
-    case FaultKind::kBusErrorRate: return "bus.error_rate";
-    case FaultKind::kBusErrorProb: return "bus.error_prob";
-  }
-  return "bus.drop";
-}
+std::string to_string(FaultKind kind) { return std::string(detail::enum_name(kind)); }
 
 void ScenarioSpec::validate() const {
-  // Range checks below are written as `v < lo || v > hi`, which NaN slips
-  // through (every comparison is false) and +inf slips past one-sided `< lo`
-  // checks — so finiteness is asserted explicitly first. A valid spec holds
-  // only finite doubles, which keeps the to_text/from_text round trip closed
-  // (the parser rejects non-finite values).
-  const auto finite = [](double v, const char* what) {
-    if (!std::isfinite(v)) fail(std::string("scenario: ") + what + " must be finite");
-  };
-  finite(pack.initial_soc, "pack.initial_soc");
-  finite(pack.soc_spread_sigma, "pack.soc_spread_sigma");
-  finite(bms.initial_soc_estimate, "bms.initial_soc_estimate");
-  finite(powertrain.aux_power_w, "powertrain.aux_power_w");
-  finite(network.load_scale, "network.load_scale");
-  finite(network.can_bit_rate, "network.can_bit_rate");
-  finite(network.lin_bit_rate, "network.lin_bit_rate");
-  finite(network.flexray_bit_rate, "network.flexray_bit_rate");
-  finite(timing.control_period_s, "timing.control_period_s");
-  finite(timing.bms_publish_period_s, "timing.bms_publish_period_s");
+  fields(*this, detail::FiniteCheck{"scenario"});
   if (name.empty()) fail("scenario: name must not be empty");
   if (name.find_first_of(" \t\n=") != std::string::npos)
     fail("scenario: name must not contain whitespace or '='");
@@ -348,198 +320,14 @@ void ScenarioSpec::validate() const {
 }
 
 std::string ScenarioSpec::to_text() const {
-  std::ostringstream out;
-  out << "# evsys scenario\n";
-  out << "scenario.name = " << name << "\n";
-  out << "drive.cycle = " << to_string(drive.cycle) << "\n";
-  out << "drive.repeat = " << drive.repeat << "\n";
-  out << "pack.module_count = " << pack.module_count << "\n";
-  out << "pack.cells_per_module = " << pack.cells_per_module << "\n";
-  out << "pack.initial_soc = " << format_double(pack.initial_soc) << "\n";
-  out << "pack.soc_spread_sigma = " << format_double(pack.soc_spread_sigma) << "\n";
-  out << "pack.lfp_chemistry = " << (pack.lfp_chemistry ? "true" : "false") << "\n";
-  out << "bms.balancing = " << to_string(bms.balancing) << "\n";
-  out << "bms.initial_soc_estimate = " << format_double(bms.initial_soc_estimate)
-      << "\n";
-  out << "powertrain.seed = " << powertrain.seed << "\n";
-  out << "powertrain.aux_power_w = " << format_double(powertrain.aux_power_w) << "\n";
-  out << "network.load_scale = " << format_double(network.load_scale) << "\n";
-  out << "network.can_bit_rate = " << format_double(network.can_bit_rate) << "\n";
-  out << "network.lin_bit_rate = " << format_double(network.lin_bit_rate) << "\n";
-  out << "network.flexray_bit_rate = " << format_double(network.flexray_bit_rate)
-      << "\n";
-  out << "timing.control_period_s = " << format_double(timing.control_period_s) << "\n";
-  out << "timing.bms_publish_period_s = " << format_double(timing.bms_publish_period_s)
-      << "\n";
-  out << "timing.middleware_frame_us = " << timing.middleware_frame_us << "\n";
-  out << "subsystems.obs = " << (subsystems.obs ? "true" : "false") << "\n";
-  out << "subsystems.faults = " << (subsystems.faults ? "true" : "false") << "\n";
-  out << "subsystems.health = " << (subsystems.health ? "true" : "false") << "\n";
-  out << "subsystems.security = " << (subsystems.security ? "true" : "false") << "\n";
-  for (std::size_t i = 0; i < arch.frame_buses.size(); ++i) {
-    out << "arch.frame_bus." << i << " = " << format_frame_id(arch.frame_buses[i].frame_id)
-        << " " << arch.frame_buses[i].bus << "\n";
-  }
-  for (std::size_t i = 0; i < arch.frame_ids.size(); ++i) {
-    out << "arch.frame_id." << i << " = " << format_frame_id(arch.frame_ids[i].frame_id)
-        << " " << format_frame_id(arch.frame_ids[i].new_id) << "\n";
-  }
-  for (std::size_t i = 0; i < arch.fr_slots.size(); ++i) {
-    out << "arch.fr_slot." << i << " = " << format_frame_id(arch.fr_slots[i].frame_id)
-        << " " << arch.fr_slots[i].slot << "\n";
-  }
-  for (std::size_t i = 0; i < arch.partitions.size(); ++i) {
-    out << "arch.partition." << i << " = " << arch.partitions[i].partition << " "
-        << arch.partitions[i].budget_us << "\n";
-  }
-  out << "faults.seed = " << fault_seed << "\n";
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    const FaultEventSpec& f = faults[i];
-    out << "fault." << i << " = " << format_double(f.at_s) << " "
-        << to_string(f.kind) << " " << f.target << " " << format_double(f.value)
-        << "\n";
-  }
-  return out.str();
+  std::string out = "# evsys scenario\n";
+  fields(*this, detail::TextWriter{out});
+  return out;
 }
 
 ScenarioSpec ScenarioSpec::from_text(const std::string& text) {
   ScenarioSpec spec;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t next_fault = 0;
-  std::set<std::string> seen;
-  while (std::getline(in, line)) {
-    const std::string stripped = trim(line);
-    if (stripped.empty() || stripped.front() == '#') continue;
-    const std::size_t eq = stripped.find('=');
-    if (eq == std::string::npos)
-      fail("scenario: expected 'key = value', got '" + stripped + "'");
-    const std::string key = trim(stripped.substr(0, eq));
-    const std::string value = trim(stripped.substr(eq + 1));
-    if (key.empty() || value.empty())
-      fail("scenario: empty key or value in '" + stripped + "'");
-    // Silently letting the last occurrence win would make two contradictory
-    // lines a valid experiment description; reject the ambiguity instead.
-    // (fault.N keys are unique already: the consecutive-numbering check
-    // below rejects a reused index.)
-    if (!seen.insert(key).second)
-      fail("scenario: duplicate key '" + key + "'");
-
-    if (key == "scenario.name") {
-      spec.name = value;
-    } else if (key == "drive.cycle") {
-      spec.drive.cycle = parse_cycle(value);
-    } else if (key == "drive.repeat") {
-      spec.drive.repeat = parse_u64(value, key);
-    } else if (key == "pack.module_count") {
-      spec.pack.module_count = parse_u64(value, key);
-    } else if (key == "pack.cells_per_module") {
-      spec.pack.cells_per_module = parse_u64(value, key);
-    } else if (key == "pack.initial_soc") {
-      spec.pack.initial_soc = parse_double(value, key);
-    } else if (key == "pack.soc_spread_sigma") {
-      spec.pack.soc_spread_sigma = parse_double(value, key);
-    } else if (key == "pack.lfp_chemistry") {
-      spec.pack.lfp_chemistry = parse_bool(value, key);
-    } else if (key == "bms.balancing") {
-      spec.bms.balancing = parse_balancing(value);
-    } else if (key == "bms.initial_soc_estimate") {
-      spec.bms.initial_soc_estimate = parse_double(value, key);
-    } else if (key == "powertrain.seed") {
-      spec.powertrain.seed = parse_u64(value, key);
-    } else if (key == "powertrain.aux_power_w") {
-      spec.powertrain.aux_power_w = parse_double(value, key);
-    } else if (key == "network.load_scale") {
-      spec.network.load_scale = parse_double(value, key);
-    } else if (key == "network.can_bit_rate") {
-      spec.network.can_bit_rate = parse_double(value, key);
-    } else if (key == "network.lin_bit_rate") {
-      spec.network.lin_bit_rate = parse_double(value, key);
-    } else if (key == "network.flexray_bit_rate") {
-      spec.network.flexray_bit_rate = parse_double(value, key);
-    } else if (key == "timing.control_period_s") {
-      spec.timing.control_period_s = parse_double(value, key);
-    } else if (key == "timing.bms_publish_period_s") {
-      spec.timing.bms_publish_period_s = parse_double(value, key);
-    } else if (key == "timing.middleware_frame_us") {
-      spec.timing.middleware_frame_us = parse_i64(value, key);
-    } else if (key == "subsystems.obs") {
-      spec.subsystems.obs = parse_bool(value, key);
-    } else if (key == "subsystems.faults") {
-      spec.subsystems.faults = parse_bool(value, key);
-    } else if (key == "subsystems.health") {
-      spec.subsystems.health = parse_bool(value, key);
-    } else if (key == "subsystems.security") {
-      spec.subsystems.security = parse_bool(value, key);
-    } else if (key == "faults.seed") {
-      spec.fault_seed = parse_u64(value, key);
-    } else if (key.rfind("arch.frame_bus.", 0) == 0) {
-      const std::uint64_t index = parse_u64(key.substr(15), key);
-      if (index != spec.arch.frame_buses.size())
-        fail("scenario: arch.frame_bus entries must be numbered consecutively "
-             "from 0; got '" + key + "'");
-      const std::vector<std::string> fields = split_ws(value);
-      if (fields.size() != 2)
-        fail("scenario: '" + key + "' expects '<frame_id> <bus>'");
-      FrameBusSpec e;
-      e.frame_id = parse_frame_id(fields[0], key);
-      e.bus = fields[1];
-      spec.arch.frame_buses.push_back(std::move(e));
-    } else if (key.rfind("arch.frame_id.", 0) == 0) {
-      const std::uint64_t index = parse_u64(key.substr(14), key);
-      if (index != spec.arch.frame_ids.size())
-        fail("scenario: arch.frame_id entries must be numbered consecutively "
-             "from 0; got '" + key + "'");
-      const std::vector<std::string> fields = split_ws(value);
-      if (fields.size() != 2)
-        fail("scenario: '" + key + "' expects '<frame_id> <new_id>'");
-      FrameIdSpec e;
-      e.frame_id = parse_frame_id(fields[0], key);
-      e.new_id = parse_frame_id(fields[1], key);
-      spec.arch.frame_ids.push_back(e);
-    } else if (key.rfind("arch.fr_slot.", 0) == 0) {
-      const std::uint64_t index = parse_u64(key.substr(13), key);
-      if (index != spec.arch.fr_slots.size())
-        fail("scenario: arch.fr_slot entries must be numbered consecutively "
-             "from 0; got '" + key + "'");
-      const std::vector<std::string> fields = split_ws(value);
-      if (fields.size() != 2)
-        fail("scenario: '" + key + "' expects '<frame_id> <slot>'");
-      FrSlotSpec e;
-      e.frame_id = parse_frame_id(fields[0], key);
-      e.slot = parse_u64(fields[1], key);
-      spec.arch.fr_slots.push_back(e);
-    } else if (key.rfind("arch.partition.", 0) == 0) {
-      const std::uint64_t index = parse_u64(key.substr(15), key);
-      if (index != spec.arch.partitions.size())
-        fail("scenario: arch.partition entries must be numbered consecutively "
-             "from 0; got '" + key + "'");
-      const std::vector<std::string> fields = split_ws(value);
-      if (fields.size() != 2)
-        fail("scenario: '" + key + "' expects '<partition> <budget_us>'");
-      PartitionWindowSpec e;
-      e.partition = fields[0];
-      e.budget_us = parse_i64(fields[1], key);
-      spec.arch.partitions.push_back(std::move(e));
-    } else if (key.rfind("fault.", 0) == 0) {
-      const std::uint64_t index = parse_u64(key.substr(6), key);
-      if (index != next_fault)
-        fail("scenario: fault entries must be numbered consecutively from 0; got '" +
-             key + "'");
-      const std::vector<std::string> fields = split_ws(value);
-      if (fields.size() != 4)
-        fail("scenario: '" + key + "' expects '<at_s> <kind> <target> <value>'");
-      FaultEventSpec f;
-      f.at_s = parse_double(fields[0], key);
-      f.kind = parse_fault_kind(fields[1]);
-      f.target = fields[2];
-      f.value = parse_double(fields[3], key);
-      spec.faults.push_back(std::move(f));
-      ++next_fault;
-    } else {
-      fail("scenario: unknown key '" + key + "'");
-    }
-  }
+  detail::read_text(text, "scenario", [&spec](auto&& visit) { fields(spec, visit); });
   spec.validate();
   return spec;
 }

@@ -409,6 +409,15 @@ TEST(ScenarioParser, RejectsGrammarBeyondWhatToTextEmits) {
                      "scenario: 'arch.fr_slot.0' expects a 0x-prefixed frame id, got '0x'");
   expect_parse_error("arch.frame_bus.0 = 0x01g comfort_can\n",
                      "scenario: 'arch.frame_bus.0' expects a 0x-prefixed frame id, got '0x01g'");
+  // strtoul would read a sign or a second 0x after the prefix; to_text
+  // writes neither.
+  expect_parse_error("arch.frame_bus.0 = 0x+10 comfort_can\n",
+                     "scenario: 'arch.frame_bus.0' expects a 0x-prefixed frame id, got '0x+10'");
+  expect_parse_error("arch.fr_slot.0 = 0x-0 1\n",
+                     "scenario: 'arch.fr_slot.0' expects a 0x-prefixed frame id, got '0x-0'");
+  expect_parse_error("arch.frame_id.0 = 0x300 0x0x10\n",
+                     "scenario: 'arch.frame_id.0' expects a 0x-prefixed frame id, got "
+                     "'0x0x10'");
   // The exponent form to_text does emit (e.g. 5e+05) still parses.
   ScenarioSpec spec = ScenarioSpec::from_text("network.can_bit_rate = 5e+05\n");
   EXPECT_EQ(spec.network.can_bit_rate, 500e3);
