@@ -14,7 +14,7 @@
 #include "ev/campaign/campaign.h"
 #include "ev/config/scenario.h"
 #include "ev/util/table.h"
-#include "ev/util/worker_pool.h"
+#include "ev/util/parallel_for.h"
 #include "harness.h"
 
 namespace {

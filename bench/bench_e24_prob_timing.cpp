@@ -131,7 +131,7 @@ int run_experiment() {
   }
 
   // Simulated side: the seed-ladder campaign, one testbed per armed bus per
-  // seed, on the shared worker pool. Workers are pure; the fold accumulates
+  // seed, on util::parallel_for. Workers are pure; the fold accumulates
   // in seed order, so the tallies (and the exported cross-validation JSON)
   // are byte-identical for any EVSYS_BENCH_JOBS value.
   const double campaign_wall_s = evbench::wall_seconds([&] {

@@ -25,7 +25,7 @@
 #include "ev/obs/metrics.h"
 #include "ev/obs/span_trace.h"
 #include "ev/sim/simulator.h"
-#include "ev/util/worker_pool.h"
+#include "ev/util/parallel_for.h"
 
 namespace evbench {
 
@@ -111,8 +111,7 @@ inline void run_seeded_campaign(std::uint64_t first, std::uint64_t stride, int r
                                 int jobs, Worker&& worker, Fold&& fold) {
   using Result = std::invoke_result_t<Worker&, std::uint64_t, int>;
   std::vector<std::optional<Result>> results(static_cast<std::size_t>(runs));
-  ev::util::WorkerPool pool(ev::util::resolve_jobs(jobs, runs));
-  pool.run(runs, [&](int i) {
+  ev::util::parallel_for(jobs, runs, [&](int i) {
     results[static_cast<std::size_t>(i)].emplace(
         worker(first + static_cast<std::uint64_t>(i) * stride, i));
   });

@@ -13,7 +13,7 @@
 #include "ev/util/crc.h"
 #include "ev/util/json.h"
 #include "ev/util/stats.h"
-#include "ev/util/worker_pool.h"
+#include "ev/util/parallel_for.h"
 
 namespace ev::campaign {
 namespace {
@@ -74,8 +74,7 @@ CampaignResult run_scenario_campaign(const config::ScenarioSpec& spec,
   // aggregate is a pure function of (spec, seeds) — never of the job count.
   std::vector<std::optional<Shard>> shards(
       static_cast<std::size_t>(options.seeds.count));
-  util::WorkerPool pool(util::resolve_jobs(options.jobs, options.seeds.count));
-  pool.run(options.seeds.count, [&](int i) {
+  util::parallel_for(options.jobs, options.seeds.count, [&](int i) {
     shards[static_cast<std::size_t>(i)].emplace(run_one(spec, options.seeds.seed(i)));
   });
 

@@ -6,8 +6,12 @@
 /// is plain data — this module depends on nothing but the standard library
 /// — and round-trips losslessly through a line-based `key = value` text
 /// format, so scenarios can live in version control and two runs of the
-/// same file are the same experiment by construction. `core` turns a spec
-/// into a running VehicleSystem; the `evsys` CLI binds the two together.
+/// same file are the same experiment by construction. Every key is spelled
+/// once, in the one field table `scenario.cpp` keeps; to_text, from_text and
+/// validate()'s finiteness check all walk it (grammar in `kv_text.h`). Frame
+/// ids are written `0x%03x` and read back as `0x` and hex digits only, at
+/// most 29 bits. `core` turns a spec into a running VehicleSystem; the
+/// `evsys` CLI binds the two together.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "ev/config/scenario.h"  // format_double
 #include "kv_text.h"
 
 namespace ev::config {

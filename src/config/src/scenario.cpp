@@ -4,10 +4,8 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -31,9 +29,9 @@ template <>
 struct detail::EnumNames<FaultKind> {
   static constexpr const char* kWhat = "fault kind";
   static constexpr std::string_view kNames[] = {
-      "bus.drop",       "bus.corrupt",       "bus.off",
-      "bus.babble",     "partition.crash",   "partition.hang",
-      "bms.stuck_voltage", "bus.error_rate", "bus.error_prob"};
+      "bus.drop",          "bus.corrupt",     "bus.off",
+      "bus.babble",        "partition.crash", "partition.hang",
+      "bms.stuck_voltage", "bus.error_rate",  "bus.error_prob"};
 };
 
 // The values of one list entry, in text order (see kv_text.h).

@@ -50,7 +50,7 @@ struct DetectorConfig {
                                                                const DetectorConfig& config);
 
 /// Data-parallel implementation: \p workers contiguous chunks of window rows
-/// are processed concurrently on a util::WorkerPool (the accelerator model).
+/// are processed concurrently by util::parallel_for (the accelerator model).
 /// Produces exactly the same detections as the scalar path.
 [[nodiscard]] std::vector<Detection> detect_pedestrians_parallel(
     const Image& image, const DetectorConfig& config, std::size_t workers);

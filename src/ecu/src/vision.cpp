@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ev/util/worker_pool.h"
+#include "ev/util/parallel_for.h"
 
 namespace ev::ecu {
 
@@ -82,8 +82,7 @@ std::vector<Detection> detect_pedestrians_parallel(const Image& image,
   // One detection slot per chunk, concatenated in chunk order below.
   std::vector<std::vector<Detection>> partial(workers);
   const int chunks = static_cast<int>(workers);
-  util::WorkerPool pool(chunks);
-  pool.run(chunks, [&](int w) {
+  util::parallel_for(chunks, chunks, [&](int w) {
     const std::size_t first_row = static_cast<std::size_t>(w) * chunk;
     const std::size_t last_row = std::min(total_rows, first_row + chunk);
     scan_rows(image, config, first_row * config.stride, last_row * config.stride,

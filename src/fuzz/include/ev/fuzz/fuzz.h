@@ -128,8 +128,8 @@ struct FuzzResult {
     const std::function<bool(const config::ScenarioSpec&)>& still_fails,
     int max_evals);
 
-/// The campaign: generate, fan over the worker pool, fold in index order,
-/// shrink + dump reproducers for failures.
+/// The campaign: generate, fan out on util::parallel_for, fold in index
+/// order, shrink + dump reproducers for failures.
 [[nodiscard]] FuzzResult run_fuzz(const FuzzOptions& options);
 
 /// Renders the deterministic campaign report (no wall times, no job

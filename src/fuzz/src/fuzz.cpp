@@ -18,7 +18,7 @@
 #include "ev/util/crc.h"
 #include "ev/util/json.h"
 #include "ev/util/rng.h"
-#include "ev/util/worker_pool.h"
+#include "ev/util/parallel_for.h"
 
 namespace ev::fuzz {
 namespace {
@@ -665,12 +665,11 @@ FuzzResult run_fuzz(const FuzzOptions& options) {
   result.count = std::max(options.count, 0);
   const ScenarioGenerator generator(options.seed);
 
-  // Fan over the worker pool into per-index slots: each slot is a pure
+  // Fan out into per-index slots: each slot is a pure
   // function of (seed, index), so the folded report is byte-identical for
   // any --jobs value.
   result.scenarios.resize(static_cast<std::size_t>(result.count));
-  util::WorkerPool pool(options.jobs);
-  pool.run(result.count, [&](int index) {
+  util::parallel_for(options.jobs, result.count, [&](int index) {
     const ScenarioSpec spec = generator.scenario(index);
     ScenarioOutcome outcome = evaluate_scenario(spec, options.prob_send_s);
     outcome.index = index;

@@ -34,26 +34,13 @@ namespace ev::middleware {
 /// Topic identifier.
 using TopicId = std::uint32_t;
 
-/// An owning published sample: raw bytes plus the publication timestamp
-/// [us]. Kept for tooling that stores samples beyond the delivery callback;
-/// the delivery path itself hands out SampleView.
-struct Sample {
-  std::vector<std::uint8_t> data;
-  std::int64_t published_us = 0;
-};
-
 /// A delivered sample: a borrowed view of the payload bytes plus the
 /// publication timestamp [us]. The view is valid only for the duration of
 /// the subscriber callback (it points into the broker's flush buffer);
-/// subscribers that need the bytes later must copy them (see Sample).
+/// subscribers that need the bytes later must copy them.
 struct SampleView {
   std::span<const std::uint8_t> data;
   std::int64_t published_us = 0;
-
-  /// Deep copy into an owning Sample.
-  [[nodiscard]] Sample to_sample() const {
-    return Sample{std::vector<std::uint8_t>(data.begin(), data.end()), published_us};
-  }
 };
 
 /// Subscriber callback. The view argument is valid only during the call.

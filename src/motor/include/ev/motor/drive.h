@@ -43,9 +43,6 @@ class MotorDrive {
   /// speed command against \p load_torque_nm shaft load.
   void step(double speed_ref_rad_s, double load_torque_nm);
 
-  /// Advances one PWM period in torque mode with q-current ref \p iq_ref_a.
-  void step_torque(double iq_ref_a, double load_torque_nm);
-
   /// Injects an open-circuit fault on \p sw (takes effect immediately).
   void inject_open_fault(Igbt sw);
 

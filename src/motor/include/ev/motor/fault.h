@@ -39,11 +39,8 @@ class OpenSwitchDetector {
   /// Latched diagnosis, if any fault has been detected.
   [[nodiscard]] std::optional<FaultDiagnosis> diagnose() const noexcept { return latched_; }
 
-  /// Number of samples consumed since construction or reset.
+  /// Number of samples consumed since construction.
   [[nodiscard]] std::size_t samples_seen() const noexcept { return seen_; }
-
-  /// Clears all accumulated state and any latched diagnosis.
-  void reset() noexcept;
 
  private:
   std::size_t window_;

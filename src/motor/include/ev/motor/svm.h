@@ -28,10 +28,6 @@ class SvmModulator {
 
   /// Maximum phase-voltage amplitude realizable in the linear region [V].
   [[nodiscard]] static double max_amplitude(double vdc) noexcept;
-
-  /// SVM sector (1..6) of the reference vector; exposed for tests and for
-  /// the fault-tolerant controller's diagnostics.
-  [[nodiscard]] static int sector(const AlphaBeta& v_ref) noexcept;
 };
 
 /// Four-switch (B4) modulator used after an IGBT open fault: the faulty leg

@@ -33,14 +33,6 @@ void MotorDrive::step(double speed_ref_rad_s, double load_torque_nm) {
   run_period(v_ref, load_torque_nm);
 }
 
-void MotorDrive::step_torque(double iq_ref_a, double load_torque_nm) {
-  const double dt = period_s();
-  const AlphaBeta v_ref =
-      controller_.update_torque(iq_ref_a, pmsm_.currents_dq(), pmsm_.electrical_angle(),
-                                pmsm_.speed_rad_s(), dt);
-  run_period(v_ref, load_torque_nm);
-}
-
 void MotorDrive::run_period(const AlphaBeta& v_ref, double load_torque_nm) {
   const Duties duties = b4_ ? b4_->modulate(v_ref, inverter_.vdc())
                             : SvmModulator::modulate(v_ref, inverter_.vdc());

@@ -36,13 +36,4 @@ void OpenSwitchDetector::sample(const Abc& currents) {
   }
 }
 
-void OpenSwitchDetector::reset() noexcept {
-  seen_ = 0;
-  for (int p = 0; p < 3; ++p) {
-    sum_[p] = 0.0;
-    abs_sum_[p] = 0.0;
-  }
-  latched_.reset();
-}
-
 }  // namespace ev::motor

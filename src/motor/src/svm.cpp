@@ -33,12 +33,6 @@ Duties SvmModulator::modulate(const AlphaBeta& v_ref, double vdc) noexcept {
   return d;
 }
 
-int SvmModulator::sector(const AlphaBeta& v_ref) noexcept {
-  double angle = std::atan2(v_ref.beta, v_ref.alpha);
-  if (angle < 0.0) angle += util::kTwoPi;
-  return static_cast<int>(angle / (util::kPi / 3.0)) % 6 + 1;
-}
-
 FourSwitchModulator::FourSwitchModulator(int faulty_phase) : faulty_phase_(faulty_phase) {
   if (faulty_phase < 0 || faulty_phase > 2)
     throw std::invalid_argument("FourSwitchModulator: phase must be 0, 1, or 2");

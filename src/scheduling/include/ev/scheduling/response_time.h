@@ -36,7 +36,4 @@ struct FpResponse {
 /// jitter). Tasks may be given in any order.
 [[nodiscard]] std::vector<FpResponse> fp_response_times(const std::vector<FpTask>& tasks);
 
-/// Total utilization of a task set (sum wcet/period).
-[[nodiscard]] double utilization(const std::vector<FpTask>& tasks) noexcept;
-
 }  // namespace ev::scheduling

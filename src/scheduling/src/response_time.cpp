@@ -39,11 +39,4 @@ std::vector<FpResponse> fp_response_times(const std::vector<FpTask>& tasks) {
   return out;
 }
 
-double utilization(const std::vector<FpTask>& tasks) noexcept {
-  double u = 0.0;
-  for (const FpTask& t : tasks)
-    u += static_cast<double>(t.wcet_us) / static_cast<double>(t.period_us);
-  return u;
-}
-
 }  // namespace ev::scheduling

@@ -84,9 +84,6 @@ class Simulator {
   /// Runs until the event queue is fully drained. Returns events dispatched.
   std::size_t run();
 
-  /// Dispatches exactly one event if any is pending. Returns false when idle.
-  bool step();
-
   /// Number of live events currently pending.
   [[nodiscard]] std::size_t pending() const noexcept { return live_count_; }
 
@@ -168,9 +165,8 @@ class Simulator {
 };
 
 /// Move-only RAII owner of a scheduled event: destruction (or assignment
-/// over) cancels the event if it is still live. release() detaches and
-/// returns the raw id for deliberate fire-and-forget scheduling. A handle
-/// must not outlive the Simulator it points into.
+/// over) cancels the event if it is still live. A handle must not outlive
+/// the Simulator it points into.
 class ScheduledHandle {
  public:
   ScheduledHandle() noexcept = default;
@@ -207,15 +203,7 @@ class ScheduledHandle {
     return was_live;
   }
 
-  /// Detaches without cancelling and returns the raw id (fire-and-forget).
-  EventId release() noexcept {
-    const EventId id = id_;
-    sim_ = nullptr;
-    id_ = kNoEvent;
-    return id;
-  }
-
-  /// The owned id, or kNoEvent after cancel()/release()/move-from.
+  /// The owned id, or kNoEvent after cancel() or move-from.
   [[nodiscard]] EventId id() const noexcept { return id_; }
 
   /// True while this handle still owns a scheduled event. (The event may

@@ -84,9 +84,6 @@ class Time {
     return Time{a.ns_ % b.ns_};
   }
 
-  /// Human-readable rendering with an auto-selected unit (ns/us/ms/s).
-  [[nodiscard]] std::string to_string() const;
-
  private:
   explicit constexpr Time(std::int64_t ns) noexcept : ns_(ns) {}
   std::int64_t ns_ = 0;

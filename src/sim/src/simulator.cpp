@@ -1,25 +1,10 @@
 #include "ev/sim/simulator.h"
 
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 namespace ev::sim {
-
-std::string Time::to_string() const {
-  std::ostringstream out;
-  const std::int64_t n = ns_;
-  if (n % 1'000'000'000 == 0)
-    out << n / 1'000'000'000 << " s";
-  else if (n % 1'000'000 == 0)
-    out << n / 1'000'000 << " ms";
-  else if (n % 1'000 == 0)
-    out << n / 1'000 << " us";
-  else
-    out << n << " ns";
-  return out.str();
-}
 
 namespace {
 constexpr Time kTimeMax = Time::ns(std::numeric_limits<std::int64_t>::max());
@@ -168,8 +153,6 @@ bool Simulator::dispatch_next(Time limit) {
   }
   return false;
 }
-
-bool Simulator::step() { return dispatch_next(kTimeMax); }
 
 std::size_t Simulator::run_until(Time until) {
   std::size_t dispatched = 0;

@@ -31,14 +31,6 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
   return t;
 }
 
-/// True if \p a and \p b differ by at most \p abs_tol plus \p rel_tol
-/// of the larger magnitude.
-[[nodiscard]] inline bool approx_equal(double a, double b, double abs_tol = 1e-9,
-                                       double rel_tol = 1e-9) noexcept {
-  const double diff = std::fabs(a - b);
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return diff <= abs_tol + rel_tol * scale;
-}
 
 /// Integer ceiling division for non-negative operands.
 [[nodiscard]] constexpr std::int64_t ceil_div(std::int64_t num, std::int64_t den) noexcept {

@@ -5,14 +5,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "ev/campaign/campaign.h"
 #include "ev/config/scenario.h"
-#include "ev/util/worker_pool.h"
+#include "ev/util/parallel_for.h"
 
 namespace {
 
@@ -22,37 +21,31 @@ using ev::campaign::SeedPlan;
 
 // ------------------------------------------------------------- parallel ----
 
-// A one-shot fan the way the campaign runner and the bench harness size it.
-void run_fan(int count, int jobs, const std::function<void(int)>& fn) {
-  ev::util::WorkerPool pool(ev::util::resolve_jobs(jobs, count));
-  pool.run(count, fn);
-}
-
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (const int jobs : {1, 2, 3, 8}) {
     std::vector<std::atomic<int>> hits(37);
-    run_fan(37, jobs, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
+    ev::util::parallel_for(jobs, 37, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
     for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
   }
 }
 
 TEST(ParallelFor, HandlesDegenerateShapes) {
   std::atomic<int> calls{0};
-  run_fan(0, 4, [&](int) { ++calls; });
+  ev::util::parallel_for(4, 0, [&](int) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
-  run_fan(3, 16, [&](int) { ++calls; });  // jobs > count
+  ev::util::parallel_for(16, 3, [&](int) { ++calls; });  // jobs > count
   EXPECT_EQ(calls.load(), 3);
-  run_fan(5, 0, [&](int) { ++calls; });  // 0 = hardware
+  ev::util::parallel_for(0, 5, [&](int) { ++calls; });  // 0 = hardware
   EXPECT_EQ(calls.load(), 8);
 }
 
 TEST(ParallelFor, PropagatesTheFirstException) {
   std::atomic<int> completed{0};
-  EXPECT_THROW(run_fan(16, 4,
-                       [&](int i) {
-                         if (i == 5) throw std::runtime_error("boom");
-                         ++completed;
-                       }),
+  EXPECT_THROW(ev::util::parallel_for(4, 16,
+                                      [&](int i) {
+                                        if (i == 5) throw std::runtime_error("boom");
+                                        ++completed;
+                                      }),
                std::runtime_error);
   EXPECT_EQ(completed.load(), 15);  // the round drains before rethrowing
 }

@@ -223,18 +223,6 @@ TEST(PubSub, VectorPayloadPublishesThroughSpan) {
   EXPECT_EQ(seen_size, 3u);
 }
 
-TEST(PubSub, ViewToSampleDeepCopies) {
-  PubSubBroker broker;
-  Sample kept;
-  broker.subscribe(2, [&](const SampleView& s) { kept = s.to_sample(); });
-  const std::uint8_t payload[] = {42, 43};
-  broker.publish(2, std::span<const std::uint8_t>(payload, 2), 5);
-  broker.flush();
-  // The copy outlives the flush that produced the view.
-  EXPECT_EQ(kept.data, (std::vector<std::uint8_t>{42, 43}));
-  EXPECT_EQ(kept.published_us, 5);
-}
-
 // ------------------------------------------------------------- services ----
 
 TEST(Services, CallRegisteredService) {

@@ -138,15 +138,6 @@ TEST(Svm, SaturatesBeyondHexagon) {
   EXPECT_LE(d.a, 1.0);
 }
 
-TEST(Svm, SectorsProgress) {
-  EXPECT_EQ(SvmModulator::sector(AlphaBeta{1.0, 0.1}), 1);
-  EXPECT_EQ(SvmModulator::sector(AlphaBeta{0.0, 1.0}), 2);
-  EXPECT_EQ(SvmModulator::sector(AlphaBeta{-1.0, 0.1}), 3);
-  EXPECT_EQ(SvmModulator::sector(AlphaBeta{-1.0, -0.1}), 4);
-  EXPECT_EQ(SvmModulator::sector(AlphaBeta{0.0, -1.0}), 5);
-  EXPECT_EQ(SvmModulator::sector(AlphaBeta{1.0, -0.1}), 6);
-}
-
 TEST(FourSwitch, PreservesLineToLineVoltages) {
   const double vdc = 400.0;
   const FourSwitchModulator b4(0);  // phase a faulty, tied to midpoint
@@ -277,15 +268,6 @@ TEST(OpenSwitchDetector, IdentifiesUpperFaultFromNegativeMean) {
   EXPECT_EQ(det.diagnose()->igbt(), Igbt::kUpperA);
 }
 
-TEST(OpenSwitchDetector, ResetClearsLatch) {
-  OpenSwitchDetector det(10, 0.25);
-  for (int i = 0; i < 20; ++i) det.sample(Abc{-10.0, 5.0, 5.0});
-  EXPECT_TRUE(det.diagnose().has_value());
-  det.reset();
-  EXPECT_FALSE(det.diagnose().has_value());
-  EXPECT_EQ(det.samples_seen(), 0u);
-}
-
 // ---------------------------------------------------------------- drive ----
 
 TEST(MotorDrive, SpeedLoopConverges) {
@@ -306,15 +288,6 @@ TEST(MotorDrive, HealthyWaveformLowThd) {
   EXPECT_GT(harmonic_amplitude(drive.recorded_current_a(), drive.record_rate_hz(),
                                fund_hz, 1),
             10.0);  // a real fundamental is present
-}
-
-TEST(MotorDrive, TorqueModeProducesTorque) {
-  MotorDrive drive;
-  // Short horizon: with no load the machine accelerates hard, and past the
-  // base speed the voltage limit (no field weakening here) erodes torque.
-  for (int k = 0; k < 500; ++k) drive.step_torque(100.0, 0.0);
-  EXPECT_GT(drive.machine().torque_nm(), 10.0);
-  EXPECT_GT(drive.machine().speed_rad_s(), 0.0);
 }
 
 TEST(MotorDrive, FaultDistortsThenRecovers) {

@@ -275,9 +275,4 @@ TEST(ResponseTime, JitterIncreasesResponse) {
   EXPECT_GE(r1[1].response_us, r0[1].response_us);
 }
 
-TEST(Utilization, Sums) {
-  std::vector<FpTask> tasks{{"a", 1, 10000, 2500, 0}, {"b", 2, 20000, 5000, 0}};
-  EXPECT_DOUBLE_EQ(utilization(tasks), 0.5);
-}
-
 }  // namespace

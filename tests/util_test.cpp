@@ -41,12 +41,6 @@ TEST(Math, WrapAngleIntoRange) {
   EXPECT_NEAR(wrap_angle(-0.5), kTwoPi - 0.5, 1e-12);
 }
 
-TEST(Math, ApproxEqualTolerances) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(approx_equal(1.0, 1.01));
-  EXPECT_TRUE(approx_equal(1e9, 1e9 + 0.5, 1e-9, 1e-9));
-}
-
 TEST(Math, IntegerHelpers) {
   EXPECT_EQ(ceil_div(10, 3), 4);
   EXPECT_EQ(ceil_div(9, 3), 3);
